@@ -48,8 +48,6 @@ class CriterionValue:
 def aspiration(history: EvaluationHistory, parameters: ModelParameters,
                epsilon: float = 0.1) -> AspirationLevel:
     """Aspiration level min_i y_i - epsilon * sigma-hat."""
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
     return AspirationLevel(float(history.values.min()) - epsilon * parameters.sigma,
                            epsilon)
 
@@ -63,39 +61,28 @@ def normal_cdf(t):
 
 def normal_pdf(t):
     t = np.asarray(t, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * t * t)
-    return float(out) if out.ndim == 0 else out
+    return _INV_SQRT_2PI * np.exp(-0.5 * t * t)
 
 
-def _degenerate_threshold(posterior: SurrogatePosterior) -> float:
-    return DEGENERATE_FACTOR * posterior.parameters.sigma
-
-
-def _at_history_point(posterior: SurrogatePosterior, x) -> bool:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gap = np.abs(posterior.history.points - x[None, :]).max(axis=1)
-    return bool(gap.min() <= 1e-12)
+def _criterion_at(kind: str, posterior: SurrogatePosterior, asp: AspirationLevel,
+                  x) -> CriterionValue:
+    """``criterion_grid`` at the single point x."""
+    point = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    values, degenerate = criterion_grid(kind, posterior, asp, point)
+    # A known point is degenerate too: re-evaluation cannot improve.
+    known = bool(degenerate[0] or posterior.history.visited(point)[0])
+    value = -math.inf if known and kind == P_CRITERION else float(values[0])
+    return CriterionValue(kind, value, degenerate=known)
 
 
 def p_criterion(posterior: SurrogatePosterior, asp: AspirationLevel, x) -> CriterionValue:
     """Improvement-probability statistic at a single point."""
-    m, s2, _ = posterior.conditional_moments(x)
-    s = math.sqrt(s2)
-    if s <= _degenerate_threshold(posterior) or _at_history_point(posterior, x):
-        # Known point (or zero-spread model): re-evaluation cannot improve.
-        return CriterionValue(P_CRITERION, -math.inf, degenerate=True)
-    return CriterionValue(P_CRITERION, (asp.y_on - m) / s)
+    return _criterion_at(P_CRITERION, posterior, asp, x)
 
 
 def expected_improvement(posterior: SurrogatePosterior, asp: AspirationLevel, x) -> CriterionValue:
     """Expected improvement over the aspiration level at a single point."""
-    m, s2, _ = posterior.conditional_moments(x)
-    s = math.sqrt(s2)
-    if s <= _degenerate_threshold(posterior) or _at_history_point(posterior, x):
-        return CriterionValue(EXPECTED_IMPROVEMENT, max(asp.y_on - m, 0.0),
-                              degenerate=True)
-    u = (asp.y_on - m) / s
-    return CriterionValue(EXPECTED_IMPROVEMENT, s * (u * normal_cdf(u) + normal_pdf(u)))
+    return _criterion_at(EXPECTED_IMPROVEMENT, posterior, asp, x)
 
 
 def ei_closed_form(m, s, y_on):
@@ -115,8 +102,14 @@ def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLeve
                    points: np.ndarray):
     """Criterion values and degeneracy mask over an (m, d) candidate array."""
     means, variances, _ = posterior.moments_grid(points)
+    return criterion_from_moments(kind, posterior, asp, means, variances)
+
+
+def criterion_from_moments(kind: str, posterior: SurrogatePosterior,
+                           asp: AspirationLevel, means, variances):
+    """``criterion_grid`` from conditional means and variances already at hand."""
     s = np.sqrt(variances)
-    degenerate = s <= _degenerate_threshold(posterior)
+    degenerate = s <= DEGENERATE_FACTOR * posterior.parameters.sigma
     if kind == P_CRITERION:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = (asp.y_on - means) / np.where(degenerate, 1.0, s)

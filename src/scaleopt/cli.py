@@ -36,8 +36,6 @@ def _add_common_run_flags(p):
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--grid-resolution", type=int, default=1001)
-    p.add_argument("--refine", action="store_true",
-                   help="golden-section polish of the grid winner")
     p.add_argument("--config", help="JSON file with defaults; flags override")
 
 
@@ -81,8 +79,7 @@ def cmd_run(args) -> int:
     algorithm = {"p": optimizer.P_ALGORITHM,
                  "ei": optimizer.ONE_STEP_BAYES}[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
-    trace = optimizer.run(algorithm, objective, [lower], [upper],
-                          refine=args.refine, **kwargs)
+    trace = optimizer.run(algorithm, objective, [lower], [upper], **kwargs)
     _write(args.output + ".csv", trace.to_csv())
     _write(args.output + ".json", trace.to_json())
     best = trace.best_point

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,10 +44,6 @@ class Interval:
             raise ValueError("interval needs a < b")
         if not math.isfinite(self.fc):
             raise ValueError("midpoint value must be finite")
-
-    @property
-    def c(self) -> float:
-        return 0.5 * (self.a + self.b)
 
     @property
     def delta(self) -> float:
@@ -128,11 +125,6 @@ def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimali
     return PotentialOptimality(False, l_lo, l_hi, "lower bound exceeds upper bound")
 
 
-def potentially_optimal_indices(partition: DirectPartition) -> list:
-    return [j for j in range(len(partition.intervals))
-            if potentially_optimal(partition, j).decision]
-
-
 def counterexample_shift(partition: DirectPartition, j: int) -> float:
     """Translation threshold delta_f for interval j.
 
@@ -194,29 +186,47 @@ class DirectTrace:
         return [frozenset(rec["subdivided_endpoints"]) for rec in self.iterations]
 
 
+def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> DirectPartition:
+    """Trisect the chosen intervals, keeping the order of the partition."""
+    new_intervals = []
+    for idx, iv in enumerate(partition.intervals):
+        if idx in chosen:
+            new_intervals.extend(trisect(iv, objective))
+        else:
+            new_intervals.append(iv)
+    return DirectPartition(new_intervals, partition.epsilon)
+
+
+def direct_iterations(objective: Callable, lower: float, upper: float,
+                      epsilon: float = DEFAULT_EPSILON):
+    """DIRECT on [lower, upper] as a lazy sequence of iterations.
+
+    Yields (iteration, partition, chosen) before subdividing the chosen
+    intervals, so a caller that stops evaluates and tests nothing more.
+    """
+    root = Interval(lower, upper, _evaluate(objective, 0.5 * (lower + upper)))
+    partition = DirectPartition([root], epsilon)
+    for it in itertools.count(1):
+        chosen = [j for j in range(len(partition.intervals))
+                  if potentially_optimal(partition, j).decision]
+        yield it, partition, chosen
+        partition = _subdivide(partition, chosen, objective)
+
+
 def run_direct(objective: Callable, lower: float, upper: float,
                epsilon: float = DEFAULT_EPSILON, budget: int = 10):
     """DIRECT iterations on [lower, upper]; returns (partition, trace)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    root = Interval(lower, upper, _evaluate(objective, 0.5 * (lower + upper)))
-    partition = DirectPartition([root], epsilon)
     trace = DirectTrace()
-    for it in range(1, budget + 1):
-        chosen = potentially_optimal_indices(partition)
-        new_intervals = []
-        for idx, iv in enumerate(partition.intervals):
-            if idx in chosen:
-                new_intervals.extend(trisect(iv, objective))
-            else:
-                new_intervals.append(iv)
+    for it, partition, chosen in direct_iterations(objective, lower, upper, epsilon):
         trace.iterations.append({
             "iter": it,
             "subdivided_indices": chosen,
             "subdivided_endpoints": [(partition.intervals[i].a,
                                       partition.intervals[i].b) for i in chosen],
             "f_min": partition.f_min,
-            "n_intervals": len(new_intervals),
+            "n_intervals": len(partition.intervals) + 2 * len(chosen),
         })
-        partition = DirectPartition(new_intervals, epsilon)
-    return partition, trace
+        if it == budget:
+            return _subdivide(partition, chosen, objective), trace

@@ -72,9 +72,12 @@ class EvaluationHistory:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+    def visited(self, points) -> np.ndarray:
+        """Mask of the (m, d) query points within DUPLICATE_THRESHOLD (max-norm)
+        of a history point, the rule that keeps history points distinct."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        d = np.abs(points[:, None, :] - self.points[None, :, :]).max(axis=2)
+        return (d <= DUPLICATE_THRESHOLD).any(axis=1)
 
     def with_observation(self, point, value) -> "EvaluationHistory":
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -118,11 +121,6 @@ class CorrelationKernel:
         if self.family == "exponential":
             return np.exp(-self.c * r)
         return np.exp(-self.c * r * r)
-
-    def __call__(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return self.of_distance(np.linalg.norm(x1 - x2))
 
 
 @dataclass(frozen=True)
@@ -229,38 +227,33 @@ class SurrogatePosterior:
         # Premultiplied residual weights: (y - mu)' S^-1
         self._resid_weights = cho_solve(self._factor, history.values - parameters.mu)
 
-    def correlation_row(self, x) -> np.ndarray:
-        """Correlations (rho(x_1, x), ..., rho(x_n, x)) for a query point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.linalg.norm(self.history.points - x[None, :], axis=1)
-        return self.kernel.of_distance(d)
-
     def conditional_moments(self, x) -> Moments:
         """Conditional mean and variance of the model at x."""
-        ups = self.correlation_row(x)
-        m = self.parameters.mu + float(self._resid_weights @ ups)
-        raw = 1.0 - float(ups @ cho_solve(self._factor, ups))
-        s2, clamped = self._clamp(raw)
-        return Moments(m, s2, clamped)
+        means, variances, clamped = self.moments_grid(np.atleast_1d(x)[None, :])
+        return Moments(float(means[0]), float(variances[0]), bool(clamped[0]))
 
     def moments_grid(self, points: np.ndarray):
         """Vectorized conditional moments for an (m, d) array of query points.
 
         Returns (means, variances, clamped_mask) as arrays of length m.
         """
+        return self.moments_with_weights(points)[:3]
+
+    def moments_with_weights(self, points: np.ndarray):
+        """``moments_grid`` plus the grid weights S^-1 Ups (n, m) it solves for.
+
+        Column j weighs the history residuals into the mean at point j.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d = _cross_distances(self.history.points, points)  # (n, m)
         ups = self.kernel.of_distance(d)
+        weights = cho_solve(self._factor, ups)
         means = self.parameters.mu + self._resid_weights @ ups
-        raw = 1.0 - np.einsum("im,im->m", ups, cho_solve(self._factor, ups))
+        raw = 1.0 - np.einsum("im,im->m", ups, weights)
         sigma2 = self.parameters.sigma2
         clamped = raw < -VARIANCE_CLAMP_TOL
         variances = sigma2 * np.clip(raw, 0.0, 1.0)
-        return means, variances, clamped
-
-    def _clamp(self, raw: float):
-        clamped = raw < -VARIANCE_CLAMP_TOL
-        return self.parameters.sigma2 * min(max(raw, 0.0), 1.0), clamped
+        return means, variances, clamped, weights
 
 
 def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,

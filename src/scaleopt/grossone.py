@@ -13,26 +13,21 @@ run time.
 
 from __future__ import annotations
 
-import math
 import re
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import acquisition as acq
 from .errors import CollapseError, UnsupportedDivisionError, UnsupportedScaleError
-from .gp import CorrelationKernel, EvaluationHistory, _cross_distances, build_posterior
+from .gp import CorrelationKernel
 from .optimizer import (
+    P_ALGORITHM,
     CandidateGrid,
-    OptimizationTrace,
-    TraceRecord,
-    _evaluate,
-    _first_unvisited,
-    _relative_gap,
-    _visited_mask,
-    _ZERO_SPREAD_REL,
     default_initial_design,
+    grid_run,
+    select_best,
 )
 
 # Coefficients whose magnitude falls below this fraction of the operand
@@ -261,15 +256,13 @@ def as_numeral(value) -> ExtendedNumeral:
     return _coerce(value)
 
 
+@dataclass(frozen=True)
 class StepCertificate:
     """Evidence that every extended criterion value collapsed to grade 0."""
 
-    __slots__ = ("iteration", "max_relative_deviation", "collapsed")
-
-    def __init__(self, iteration, max_relative_deviation, collapsed):
-        self.iteration = iteration
-        self.max_relative_deviation = max_relative_deviation
-        self.collapsed = collapsed
+    iteration: int
+    max_relative_deviation: float
+    collapsed: bool
 
 
 def _require_positive_monomial(a: ExtendedNumeral) -> None:
@@ -288,84 +281,45 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                          collapse_tol: float = 1e-9):
     """P-algorithm run on extended-numeral values z = a*f(x) + b.
 
-    The surrogate linear algebra stays in ordinary floats (it only sees
-    the unscaled values); the scaling, the scaled estimates, the scaled
-    aspiration level and the criterion numerator/denominator are carried
-    as extended numerals.  Each candidate's criterion is divided by the
-    monomial ``a * s_n(x)`` and must collapse to a purely finite value
-    matching the conventional criterion; the per-step certificates record
-    that this happened.
+    The common run loop (``optimizer.grid_run``) builds the float model
+    from the values h_i = y_i - y_0 centred on the first observation.  Its
+    selector carries z_i = a*h_i + b (a shift by a*y_0, which changes no
+    criterion), the scaled estimates, the scaled aspiration level and the
+    criterion numerator/denominator as extended numerals.  Each candidate's
+    criterion is divided by the monomial ``a * s_n(x)`` and must collapse to
+    a purely finite value matching the conventional criterion; the per-step
+    certificates record that this happened.
 
     Returns (trace, certificates).
     """
     a = as_numeral(a)
     b = as_numeral(b)
     _require_positive_monomial(a)
-    kernel = kernel or CorrelationKernel()
-    grid = grid or CandidateGrid.for_region(lower, upper)
     if initial_design is None:
         initial_design = default_initial_design(lower, upper)
-    initial_design = np.atleast_2d(np.asarray(initial_design, dtype=float))
-
-    trace = OptimizationTrace("p-algorithm")
+    n_initial = len(np.atleast_2d(initial_design))
     certificates = []
-    history = None
-    best = math.inf
-    for point in initial_design:
-        value = _evaluate(objective, point)
-        best = min(best, value)
-        if history is None:
-            history = EvaluationHistory(lower, upper, point[None, :], [value])
-        else:
-            history = history.with_observation(point, value)
-        trace.records.append(TraceRecord(0, -1, point, value, None, None, None,
-                                         None, best))
 
-    grid_points = grid.points
-    for it in range(1, budget + 1):
-        posterior = build_posterior(history, kernel, estimator)
-        params = posterior.parameters
-        if params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu)):
-            point, idx = _first_unvisited(grid, history)
-            value = _evaluate(objective, point)
-            best = min(best, value)
-            history = history.with_observation(point, value)
-            trace.records.append(TraceRecord(it, idx, point, value, None,
-                                             params.mu, params.sigma2, None, best,
-                                             degenerate_step=True))
-            continue
-
+    def select(posterior, asp, grid):
+        history, params = posterior.history, posterior.parameters
+        points = grid.points
         # Scaled observations and equivariant estimates, as numerals.
-        z = [a * y + b for y in history.values]
+        z = [a * h + b for h in history.values]
         mu_ext = a * params.mu + b
         sigma_ext = a * params.sigma  # positive monomial
         residuals = [zi - mu_ext for zi in z]
-        z_min = z[0]
-        for zi in z[1:]:
-            if zi < z_min:
-                z_min = zi
-        z_on = z_min - epsilon * sigma_ext
+        z_on = min(z) - asp.epsilon * sigma_ext
 
-        asp = acq.aspiration(history, params, epsilon)
-        means, variances, _ = posterior.moments_grid(grid_points)
-        s = np.sqrt(variances)
-        ratio = s / params.sigma  # sqrt(1 - Ups' S^-1 Ups), scale free
-        degenerate = s <= acq.DEGENERATE_FACTOR * params.sigma
-        visited = _visited_mask(grid_points, history)
-        # Residual weights S^-1 Ups per candidate, shared with the float path.
-        ups = kernel.of_distance(_cross_distances(history.points, grid_points))
-        weights = cho_solve(posterior._factor, ups)  # (n, m)
+        # Residual weights S^-1 Ups per candidate, shared with the float moments.
+        means, variances, _, weights = posterior.moments_with_weights(points)
+        conventional, degenerate = acq.criterion_from_moments(
+            acq.P_CRITERION, posterior, asp, means, variances)
+        ratio = np.sqrt(variances) / params.sigma  # sqrt(1 - Ups' S^-1 Ups), scale free
+        eligible = ~history.visited(points) & ~degenerate
 
-        conventional = np.where(degenerate, -np.inf,
-                                (asp.y_on - means) / np.where(degenerate, 1.0, s))
-
-        best_idx = None
-        best_val = None
-        second_val = None
+        values = np.full(points.shape[0], -np.inf)
         max_dev = 0.0
-        for idx in range(grid_points.shape[0]):
-            if visited[idx] or degenerate[idx]:
-                continue
+        for idx in np.flatnonzero(eligible):
             m_ext = mu_ext
             for i, r in enumerate(residuals):
                 m_ext = m_ext + weights[i, idx] * r
@@ -377,32 +331,18 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                 if abs(coeff) > collapse_tol * scale or grade > 0:
                     raise CollapseError(
                         f"criterion at grid index {idx} kept grade {grade}")
-                crit = ExtendedNumeral.from_real(crit.coefficient(0))
-            val = crit.to_real()
+            val = crit.coefficient(0)
             ref = conventional[idx]
             dev = abs(val - ref) / max(abs(val), abs(ref), 1e-300)
             max_dev = max(max_dev, dev)
-            if best_val is None or val > best_val:
-                second_val = best_val
-                best_val = val
-                best_idx = idx
-            elif second_val is None or val > second_val:
-                second_val = val
-        if best_idx is None:
-            point, best_idx = _first_unvisited(grid, history)
-            best_val = math.nan
-        certificates.append(StepCertificate(it, max_dev, max_dev <= collapse_tol))
+            values[idx] = val
+        certificates.append(StepCertificate(history.n - n_initial + 1, max_dev,
+                                            max_dev <= collapse_tol))
         if max_dev > collapse_tol:
             raise CollapseError(
                 f"extended criterion deviates from conventional by {max_dev:.3e}")
+        return select_best(values, eligible, points)
 
-        point = grid_points[best_idx]
-        value = _evaluate(objective, point)
-        best = min(best, value)
-        history = history.with_observation(point, value)
-        gap = (_relative_gap(best_val, second_val)
-               if second_val is not None else math.inf)
-        trace.records.append(TraceRecord(it, int(best_idx), point, value,
-                                         best_val, params.mu, params.sigma2,
-                                         asp.y_on, best, near_tie_gap=gap))
+    trace = grid_run(P_ALGORITHM, select, objective, lower, upper, initial_design,
+                     budget, kernel, estimator, epsilon, grid)
     return trace, certificates

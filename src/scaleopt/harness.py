@@ -8,6 +8,7 @@ DIRECT is expected to diverge on a suitably constructed translation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,13 +174,13 @@ def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
         posterior = build_posterior(history, kernel, estimator)
         asp = acq.aspiration(history, posterior.parameters, epsilon)
         means, variances, _ = posterior.moments_grid(xs)
-        crit, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
+        crit, _ = acq.criterion_from_moments(acq.P_CRITERION, posterior, asp,
+                                             means, variances)
         out[f"m_{tag}"] = means
         out[f"s_{tag}"] = np.sqrt(variances)
         out[f"crit_{tag}"] = crit
         out[f"y_on_{tag}"] = asp.y_on
-        eligible = np.where(degenerate, -np.inf, crit)
-        out[f"argmax_{tag}"] = int(np.argmax(eligible))
+        out[f"argmax_{tag}"] = int(np.argmax(crit))  # degenerate entries are -inf
     return out
 
 
@@ -213,11 +214,8 @@ def build_direct_counterexample(epsilon: float = 1e-4, budget: int = 6,
     it; any translation above threshold/epsilon removes that interval
     from the potentially optimal set.
     """
-    root = direct1d.Interval(lower, upper,
-                             float(objective(0.5 * (lower + upper))))
-    partition = direct1d.DirectPartition([root], epsilon)
-    for it in range(1, budget + 1):
-        chosen = direct1d.potentially_optimal_indices(partition)
+    iterations = direct1d.direct_iterations(objective, lower, upper, epsilon)
+    for it, partition, chosen in itertools.islice(iterations, budget):
         deltas = partition.deltas()
         longest = deltas.max()
         for j in chosen:
@@ -228,13 +226,6 @@ def build_direct_counterexample(epsilon: float = 1e-4, budget: int = 6,
                 shift = 1.01 * delta_f / epsilon if delta_f > 0 else 1.0
                 return DirectCounterexample(objective, lower, upper, epsilon,
                                             budget, shift, j, it, delta_f)
-        new_intervals = []
-        for idx, iv in enumerate(partition.intervals):
-            if idx in chosen:
-                new_intervals.extend(direct1d.trisect(iv, objective))
-            else:
-                new_intervals.append(iv)
-        partition = direct1d.DirectPartition(new_intervals, epsilon)
     raise ConfigError("no suitable interval found; increase the budget")
 
 

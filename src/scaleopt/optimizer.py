@@ -2,9 +2,9 @@
 
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
-be compared point by point.  An optional golden-section refinement
-polishes the grid winner; it is off by default because the comparison
-harness needs the selected points to live on the shared lattice.
+be compared point by point.  One loop, ``grid_run``, serves every
+selection rule: ``run`` plugs in the float criterion argmax and
+``grossone.scaled_criterion_run`` an extended-numeral one.
 
 Objective values that are ``Fraction`` or ``int`` are kept exact.  The
 model sees every observation relative to the first one, ``y - y_0``,
@@ -17,12 +17,13 @@ resolution of its offset.  Traces report values in the objective's units.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .errors import (
     ObjectiveEvaluationError,
 )
 from .gp import (
-    DUPLICATE_THRESHOLD,
     CorrelationKernel,
     EvaluationHistory,
     SurrogatePosterior,
@@ -66,6 +66,12 @@ class CandidateGrid:
         object.__setattr__(self, "upper", upper)
         if self.resolution < 2:
             raise ValueError("grid resolution must be at least 2")
+        axes = [np.linspace(lower[k], upper[k], self.resolution)
+                for k in range(lower.size)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+        points.flags.writeable = False  # shared by every step and caller
+        object.__setattr__(self, "_points", points)
 
     @classmethod
     def for_region(cls, lower, upper, resolution: Optional[int] = None) -> "CandidateGrid":
@@ -75,19 +81,9 @@ class CandidateGrid:
         return cls(lower, upper, resolution)
 
     @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
     def points(self) -> np.ndarray:
-        axes = [np.linspace(self.lower[k], self.upper[k], self.resolution)
-                for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    @property
-    def cell(self) -> np.ndarray:
-        return (self.upper - self.lower) / (self.resolution - 1)
+        """The (m, d) candidates in lexicographic order, built once, read-only."""
+        return self._points
 
 
 @dataclass(frozen=True)
@@ -99,11 +95,6 @@ class Selection:
     runner_up_gap: float
 
 
-def _visited_mask(points: np.ndarray, history: EvaluationHistory) -> np.ndarray:
-    d = np.abs(points[:, None, :] - history.points[None, :, :]).max(axis=2)
-    return (d <= DUPLICATE_THRESHOLD).any(axis=1)
-
-
 def _relative_gap(best: float, second: float) -> float:
     if not (math.isfinite(best) and math.isfinite(second)):
         return math.inf
@@ -112,8 +103,7 @@ def _relative_gap(best: float, second: float) -> float:
 
 
 def argmax_criterion(kind: str, posterior: SurrogatePosterior,
-                     asp: acq.AspirationLevel, grid: CandidateGrid,
-                     refine: bool = False) -> Selection:
+                     asp: acq.AspirationLevel, grid: CandidateGrid) -> Selection:
     """Best candidate on the grid, lowest index on exact ties.
 
     Candidates coinciding with history points are excluded; degenerate
@@ -121,8 +111,13 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
     """
     points = grid.points
     values, degenerate = acq.criterion_grid(kind, posterior, asp, points)
-    visited = _visited_mask(points, posterior.history)
-    eligible = ~visited & ~degenerate
+    eligible = ~posterior.history.visited(points) & ~degenerate
+    return select_best(values, eligible, points)
+
+
+def select_best(values: np.ndarray, eligible: np.ndarray,
+                points: np.ndarray) -> Selection:
+    """The eligible candidate with the largest value, lowest index on exact ties."""
     if not eligible.any():
         raise AllCandidatesDegenerateError(
             "no non-degenerate unvisited candidate on the grid")
@@ -132,42 +127,7 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
     rest = masked.copy()
     rest[idx] = -np.inf
     second = float(rest.max()) if np.isfinite(rest).any() else -math.inf
-    point = points[idx]
-    if refine:
-        point = _refine(kind, posterior, asp, point, grid)
-    return Selection(point, idx, best, _relative_gap(best, second))
-
-
-def _refine(kind, posterior, asp, center, grid, iterations: int = 40):
-    """Fixed-iteration golden-section polish, one coordinate at a time."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def value_at(x):
-        v, deg = acq.criterion_grid(kind, posterior, asp, x[None, :])
-        return -math.inf if deg[0] else float(v[0])
-
-    x = np.array(center, dtype=float)
-    for k in range(grid.dim):
-        lo = max(x[k] - grid.cell[k], grid.lower[k])
-        hi = min(x[k] + grid.cell[k], grid.upper[k])
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        xc, xd = x.copy(), x.copy()
-        for _ in range(iterations):
-            xc[k], xd[k] = c, d
-            if value_at(xc) >= value_at(xd):
-                b, d = d, c
-                c = b - invphi * (b - a)
-            else:
-                a, c = c, d
-                d = a + invphi * (b - a)
-        best = 0.5 * (a + b)
-        xb = x.copy()
-        xb[k] = best
-        if value_at(xb) > value_at(x):
-            x = xb
-    return x
+    return Selection(points[idx], idx, best, _relative_gap(best, second))
 
 
 @dataclass(frozen=True)
@@ -273,24 +233,28 @@ def _exact_sum(x, y) -> float:
     return float(Fraction(x) + Fraction(y))
 
 
-def _first_unvisited(grid: CandidateGrid, history: EvaluationHistory):
-    points = grid.points
-    visited = _visited_mask(points, history)
-    idx = int(np.argmin(visited))
-    if visited[idx]:
-        raise AllCandidatesDegenerateError("every grid candidate already visited")
-    return points[idx], idx
-
-
 def run(algorithm: str, objective: Callable, lower, upper,
         initial_design: Optional[np.ndarray] = None, budget: int = 20,
         kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
-        epsilon: float = 0.1, grid: Optional[CandidateGrid] = None,
-        refine: bool = False) -> OptimizationTrace:
+        epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
     """Run a surrogate-guided optimization for a fixed evaluation budget."""
     if algorithm not in _CRITERION_OF:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    kind = _CRITERION_OF[algorithm]
+    select = functools.partial(argmax_criterion, _CRITERION_OF[algorithm])
+    return grid_run(algorithm, select, objective, lower, upper, initial_design,
+                    budget, kernel, estimator, epsilon, grid)
+
+
+def grid_run(algorithm: str, select: Callable, objective: Callable, lower, upper,
+             initial_design: Optional[np.ndarray] = None, budget: int = 20,
+             kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
+             epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
+    """The sequential run loop shared by every selection rule.
+
+    ``select(posterior, asp, grid)`` returns each step's ``Selection``; the
+    loop owns the design, the exact anchor, the model, the zero-spread
+    fallback, the aspiration level, the evaluations and the records.
+    """
     kernel = kernel or CorrelationKernel()
     grid = grid or CandidateGrid.for_region(lower, upper)
     if initial_design is None:
@@ -328,15 +292,16 @@ def run(algorithm: str, objective: Callable, lower, upper,
         params = posterior.parameters
         zero_spread = params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu))
         if zero_spread:
-            # Criterion undefined everywhere: fall back to grid-order exploration.
-            point, idx = _first_unvisited(grid, history)
-            value, best_f = observe(point)
-            trace.records.append(TraceRecord(it, idx, point, value, None,
+            # Criterion undefined everywhere: take the lowest unvisited index.
+            points = grid.points
+            sel = select_best(np.zeros(len(points)), ~history.visited(points), points)
+            value, best_f = observe(sel.point)
+            trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, None,
                                              uncentre(params.mu), params.sigma2,
                                              None, best_f, degenerate_step=True))
             continue
         asp = acq.aspiration(history, params, epsilon)
-        sel = argmax_criterion(kind, posterior, asp, grid, refine=refine)
+        sel = select(posterior, asp, grid)
         value, best_f = observe(sel.point)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value,
                                          sel.value, uncentre(params.mu),

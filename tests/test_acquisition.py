@@ -98,6 +98,21 @@ class TestPCriterion:
         assert not out.degenerate
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_single_point_is_grid_value(self):
+        history = fig1_history()
+        posterior = build_posterior(history, KERNEL)
+        asp = acq.aspiration(history, posterior.parameters, 0.1)
+        xs = np.linspace(0, 1, 11)[:, None]
+        for kind, at_point in ((acq.P_CRITERION, acq.p_criterion),
+                               (acq.EXPECTED_IMPROVEMENT, acq.expected_improvement)):
+            values, _ = acq.criterion_grid(kind, posterior, asp, xs)
+            known = history.visited(xs)
+            for x, value, is_known in zip(xs, values, known):
+                out = at_point(posterior, asp, x)
+                assert out.degenerate == is_known
+                if not is_known:
+                    assert out.value == value
+
     def test_fig1_scaled_curve_coincides(self):
         a, b = 3.9765, 3.1804
         post_f = build_posterior(fig1_history(), KERNEL)

@@ -139,6 +139,10 @@ class TestRunDirect:
         with pytest.raises(ObjectiveEvaluationError):
             direct1d.run_direct(lambda x: float("nan"), 0.0, 1.0, budget=1)
 
+    def test_counterexample_non_finite_root(self):
+        with pytest.raises(ObjectiveEvaluationError):
+            build_direct_counterexample(objective=lambda x: float("nan"))
+
     def test_translation_changes_subdivisions(self):
         case = build_direct_counterexample()
         mismatch, base, shifted = direct_homogeneity_check(case)

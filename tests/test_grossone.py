@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleopt import optimizer as opt
-from scaleopt.errors import UnsupportedDivisionError, UnsupportedScaleError
+from scaleopt.errors import (
+    AllCandidatesDegenerateError,
+    UnsupportedDivisionError,
+    UnsupportedScaleError,
+)
+from scaleopt.gp import SurrogatePosterior
 from scaleopt.grossone import (
     GROSSONE as G,
     ExtendedNumeral,
@@ -174,6 +179,23 @@ class TestScaledCriterionRun:
         assert base.grid_indices == scaled.grid_indices
         assert all(c.collapsed for c in certs)
         assert max(c.max_relative_deviation for c in certs) <= 1e-9
+        # the same centred float model as the base run, step for step
+        assert [(r.mu, r.sigma2, r.y_on) for r in scaled.records] == \
+            [(r.mu, r.sigma2, r.y_on) for r in base.records]
+        assert [c.iteration for c in certs] == list(range(1, 16))
+
+    def test_all_degenerate_raises_like_argmax(self, monkeypatch):
+        def zero_variances(self, points):
+            m = len(points)
+            return (np.full(m, self.parameters.mu), np.zeros(m),
+                    np.zeros(m, bool), np.zeros((self.history.n, m)))
+
+        monkeypatch.setattr(SurrogatePosterior, "moments_with_weights",
+                            zero_variances)
+        with pytest.raises(AllCandidatesDegenerateError):
+            opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=1)
+        with pytest.raises(AllCandidatesDegenerateError):
+            scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0], budget=1)
 
     def test_infinitesimal_scaling(self):
         # gramacy-lee has nearly symmetric criterion peaks, so compare with

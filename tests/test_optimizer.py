@@ -23,6 +23,13 @@ class TestCandidateGrid:
         assert pts[0, 0] == -1.0 and pts[-1, 0] == 1.0
         np.testing.assert_array_equal(pts, grid.points)
 
+    def test_points_built_once_and_read_only(self):
+        grid = opt.CandidateGrid.for_region([0.0, 0.0], [1.0, 1.0], 5)
+        assert grid.points is grid.points
+        assert not grid.points.flags.writeable
+        with pytest.raises(ValueError):
+            grid.points[0, 0] = 7.0
+
     def test_default_resolutions(self):
         assert opt.CandidateGrid.for_region([0.0], [1.0]).resolution == 1001
         assert opt.CandidateGrid.for_region([0, 0], [1, 1]).resolution == 101
@@ -49,7 +56,7 @@ class TestArgmax:
         sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
         values, deg = acq.criterion_grid(acq.P_CRITERION, posterior, asp,
                                          grid.points)
-        visited = opt._visited_mask(grid.points, posterior.history)
+        visited = posterior.history.visited(grid.points)
         masked = np.where(~visited & ~deg, values, -np.inf)
         assert sel.grid_index == int(np.argmax(masked))
         assert not visited[sel.grid_index]
@@ -77,18 +84,6 @@ class TestArgmax:
         grid = opt.CandidateGrid(np.array([0.0]), np.array([1.0]), 2)
         with pytest.raises(AllCandidatesDegenerateError):
             opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
-
-    def test_refinement_stays_in_cell(self):
-        posterior = self._posterior()
-        asp = acq.aspiration(posterior.history, posterior.parameters, 0.1)
-        grid = opt.CandidateGrid.for_region([0.0], [1.0], 101)
-        coarse = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
-        fine = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid,
-                                    refine=True)
-        assert fine.grid_index == coarse.grid_index
-        assert abs(fine.point[0] - coarse.point[0]) <= grid.cell[0] + 1e-15
-        v_fine = acq.p_criterion(posterior, asp, fine.point).value
-        assert v_fine >= coarse.value - 1e-12
 
 
 class TestRun:

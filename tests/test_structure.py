@@ -1,0 +1,46 @@
+"""No module of the package reaches into another's private names.
+
+A leading underscore marks a name as internal to its module or object, so
+``from .mod import _name`` and ``obj._attr`` (with ``obj`` other than
+``self`` or ``cls``) couple one module to another's internals.  Dunder
+names such as ``__setattr__`` are protocol, not private.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "scaleopt").glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_references(source: str) -> list:
+    """(line, text) for each private import or foreign private attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [(node.lineno, f"from {'.' * node.level}{node.module or ''} "
+                                    f"import {alias.name}")
+                      for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = node.value
+            if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_rule_catches_both_forms():
+    source = ("from .gp import _cross_distances, build_posterior\n"
+              "w = posterior._factor\n"
+              "self._factor = object.__setattr__\n")
+    assert private_references(source) == [
+        (1, "from .gp import _cross_distances"), (2, "posterior._factor")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert private_references(path.read_text()) == []
