@@ -14,8 +14,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import direct1d, harness, objectives, optimizer
 from .errors import ConfigError, ScaleoptError
 from .gp import CorrelationKernel
@@ -140,7 +138,7 @@ def cmd_direct_demo(args) -> int:
                                            case.budget)
     _write(args.output + "_partition.json", partition.to_json())
     _write(args.output + "_trace.csv", trace.to_csv())
-    mismatch, _, _ = harness.direct_homogeneity_check(case)
+    mismatch, _, _ = harness.compare_direct_shift(case, trace)
     print(f"counterexample interval {case.interval_index} at iteration "
           f"{case.found_at_iteration}; shift {case.shift!r}")
     print(f"subdivision mismatch at iteration {mismatch}"

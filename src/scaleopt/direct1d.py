@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def counterexample_shift(partition: DirectPartition, j: int) -> float:
     d_plus = deltas[longer][k]
     f_min = partition.f_min
     eps = partition.epsilon
-    return (f_plus - fj) * dj / (d_plus - dj) - fj + (1.0 - eps) * f_min
+    return float((f_plus - fj) * dj / (d_plus - dj) - fj + (1.0 - eps) * f_min)
 
 
 def trisect(interval: Interval, objective: Callable):

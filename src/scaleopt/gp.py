@@ -11,7 +11,7 @@ criteria built on top of this module scale invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -182,50 +182,40 @@ def _factor_with_jitter(sigma: np.ndarray):
 
 
 def estimate_mle(history: EvaluationHistory, kernel: CorrelationKernel) -> ModelParameters:
-    """Maximum likelihood estimates of (mu, sigma2) under the correlated model.
-
-    The mean is the generalized-least-squares value
-    ``(1' S^-1 y) / (1' S^-1 1)`` and the variance the averaged
-    S-weighted residual quadratic form, both computed through the
-    triangular factor of the correlation matrix.
-    """
-    y = history.values
-    if y.size == 1:
-        return ModelParameters(float(y[0]), 0.0, "mle")
-    sigma = correlation_matrix(history, kernel)
-    factor, _ = _factor_with_jitter(sigma)
-    ones = np.ones_like(y)
-    s_inv_ones = cho_solve(factor, ones)
-    mu = float(s_inv_ones @ y) / float(s_inv_ones @ ones)
-    resid = y - mu
-    sigma2 = float(resid @ cho_solve(factor, resid)) / y.size
-    return ModelParameters(mu, max(sigma2, 0.0), "mle")
-
-
-def estimate(history: EvaluationHistory, kernel: CorrelationKernel, tag: str) -> ModelParameters:
-    if tag == "sample":
-        return estimate_sample(history)
-    if tag == "mle":
-        return estimate_mle(history, kernel)
-    raise ValueError(f"unknown estimator tag {tag!r}")
+    """Maximum likelihood estimates of (mu, sigma2) under the correlated model."""
+    return SurrogatePosterior(history, kernel, "mle").parameters
 
 
 class SurrogatePosterior:
     """Conditional Gaussian model given an evaluation history.
 
-    Immutable after construction; moment queries are read-only and safe
-    to share across threads.
+    The one place that factors the correlation matrix S.  The ``mle``
+    estimates are the generalized-least-squares mean (1' S^-1 y) / (1' S^-1 1)
+    and the averaged quadratic form of the residual weights S^-1 (y - mu),
+    which the moments use too; ``sample`` uses ``estimate_sample``.
+    Immutable after construction; moment queries are read-only.
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
-                 parameters: ModelParameters):
+                 estimator: str = "mle"):
+        if estimator not in ("mle", "sample"):
+            raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
         self.kernel = kernel
-        self.parameters = parameters
-        sigma = correlation_matrix(history, kernel)
-        self._factor, self.jitter = _factor_with_jitter(sigma)
+        self._factor, self.jitter = _factor_with_jitter(correlation_matrix(history, kernel))
+        y = history.values
+        if estimator == "sample":
+            self.parameters = estimate_sample(history)
+            mu = self.parameters.mu
+        else:
+            ones = np.ones_like(y)
+            s_inv_ones = cho_solve(self._factor, ones)
+            mu = float(s_inv_ones @ y) / float(s_inv_ones @ ones)
         # Premultiplied residual weights: (y - mu)' S^-1
-        self._resid_weights = cho_solve(self._factor, history.values - parameters.mu)
+        self._resid_weights = cho_solve(self._factor, y - mu)
+        if estimator == "mle":
+            sigma2 = float((y - mu) @ self._resid_weights) / y.size
+            self.parameters = ModelParameters(mu, max(sigma2, 0.0), "mle")
 
     def conditional_moments(self, x) -> Moments:
         """Conditional mean and variance of the model at x."""
@@ -259,4 +249,4 @@ class SurrogatePosterior:
 def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,
                     estimator: str = "mle") -> SurrogatePosterior:
     """Estimate parameters and construct the posterior in one step."""
-    return SurrogatePosterior(history, kernel, estimate(history, kernel, estimator))
+    return SurrogatePosterior(history, kernel, estimator)

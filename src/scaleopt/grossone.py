@@ -8,7 +8,9 @@ objective values by ``a * y + b`` with infinite or infinitesimal a, b
 and to evaluate the improvement-probability criterion on the scaled
 values.  The criterion is a ratio whose grades cancel, so each evaluation
 collapses back to an ordinary finite number; the collapse is checked at
-run time.
+run time.  Coefficients may be float arrays of one shape, an array of
+numerals over shared grades whose zero entries are absent terms; order,
+hashing and the text form are defined for single numerals only.
 """
 
 from __future__ import annotations
@@ -34,19 +36,28 @@ from .optimizer import (
 # coefficients are treated as cancelled.
 CANCEL_REL = 1e-15
 
+# Largest relative deviation of a collapsed criterion from the float one.
+COLLAPSE_TOL = 1e-9
+
 
 class ExtendedNumeral:
     """Immutable finite sum of c * G^p terms in canonical form."""
 
     __slots__ = ("terms", "cancellation")
+    __array_ufunc__ = None  # ndarray operands defer to the reflected operators
 
     def __init__(self, terms=None, _cancellation=False):
-        canonical = {}
-        for grade, coeff in (terms or {}).items():
-            if coeff != 0.0:
-                canonical[int(grade)] = float(coeff)
+        canonical = {int(g): np.asarray(c, dtype=float) for g, c in (terms or {}).items()}
+        shape = np.broadcast_shapes(np.shape(_cancellation),
+                                    *(c.shape for c in canonical.values()))
+        if shape:
+            canonical = {g: np.broadcast_to(c, shape) for g, c in canonical.items()}
+            cancellation = np.broadcast_to(np.asarray(_cancellation, dtype=bool), shape)
+        else:
+            canonical = {g: float(c) for g, c in canonical.items() if c != 0.0}
+            cancellation = bool(_cancellation)
         object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "cancellation", bool(_cancellation))
+        object.__setattr__(self, "cancellation", cancellation)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtendedNumeral is immutable")
@@ -96,15 +107,14 @@ class ExtendedNumeral:
     def _combine(self, other, sign):
         other = _coerce(other)
         terms = dict(self.terms)
-        cancelled = self.cancellation or other.cancellation
+        cancelled = self.cancellation | other.cancellation
         for grade, coeff in other.terms.items():
             old = terms.get(grade, 0.0)
             new = old + sign * coeff
-            scale = max(abs(old), abs(coeff))
-            if new != 0.0 and abs(new) < CANCEL_REL * scale:
-                cancelled = True
-                new = 0.0
-            terms[grade] = new
+            scale = np.maximum(np.abs(old), np.abs(coeff))
+            hit = (new != 0.0) & (np.abs(new) < CANCEL_REL * scale)
+            cancelled = cancelled | hit
+            terms[grade] = np.where(hit, 0.0, new)
         return ExtendedNumeral(terms, cancelled)
 
     def __add__(self, other):
@@ -128,7 +138,7 @@ class ExtendedNumeral:
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
                 terms[g1 + g2] = terms.get(g1 + g2, 0.0) + c1 * c2
-        return ExtendedNumeral(terms, self.cancellation or other.cancellation)
+        return ExtendedNumeral(terms, self.cancellation | other.cancellation)
 
     __rmul__ = __mul__
 
@@ -139,7 +149,7 @@ class ExtendedNumeral:
                 "division is supported only by a single nonzero term")
         grade, coeff = next(iter(divisor.terms.items()))
         return ExtendedNumeral({g - grade: c / coeff for g, c in self.terms.items()},
-                               self.cancellation or divisor.cancellation)
+                               self.cancellation | divisor.cancellation)
 
     def __truediv__(self, other):
         return self.div_monomial(other)
@@ -203,8 +213,8 @@ class ExtendedNumeral:
 def _coerce(value) -> ExtendedNumeral:
     if isinstance(value, ExtendedNumeral):
         return value
-    if isinstance(value, (int, float)):
-        return ExtendedNumeral.from_real(value)
+    if isinstance(value, (int, float, np.ndarray)):
+        return ExtendedNumeral({0: value})
     raise TypeError(f"cannot interpret {value!r} as an extended numeral")
 
 
@@ -277,17 +287,17 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                          initial_design=None, budget: int = 15,
                          kernel: Optional[CorrelationKernel] = None,
                          estimator: str = "mle", epsilon: float = 0.1,
-                         grid: Optional[CandidateGrid] = None,
-                         collapse_tol: float = 1e-9):
+                         grid: Optional[CandidateGrid] = None):
     """P-algorithm run on extended-numeral values z = a*f(x) + b.
 
     The common run loop (``optimizer.grid_run``) builds the float model
     from the values h_i = y_i - y_0 centred on the first observation.  Its
     selector carries z_i = a*h_i + b (a shift by a*y_0, which changes no
     criterion), the scaled estimates, the scaled aspiration level and the
-    criterion numerator/denominator as extended numerals.  Each candidate's
-    criterion is divided by the monomial ``a * s_n(x)`` and must collapse to
-    a purely finite value matching the conventional criterion; the per-step
+    criterion numerator/denominator as extended numerals, with one array
+    coefficient per eligible candidate.  Each candidate's criterion is
+    divided by the monomial ``a * s_n(x)`` and must collapse to a purely
+    finite value matching the conventional criterion; the per-step
     certificates record that this happened.
 
     Returns (trace, certificates).
@@ -307,7 +317,6 @@ def scaled_criterion_run(objective, a, b, lower, upper,
         z = [a * h + b for h in history.values]
         mu_ext = a * params.mu + b
         sigma_ext = a * params.sigma  # positive monomial
-        residuals = [zi - mu_ext for zi in z]
         z_on = min(z) - asp.epsilon * sigma_ext
 
         # Residual weights S^-1 Ups per candidate, shared with the float moments.
@@ -316,29 +325,26 @@ def scaled_criterion_run(objective, a, b, lower, upper,
             acq.P_CRITERION, posterior, asp, means, variances)
         ratio = np.sqrt(variances) / params.sigma  # sqrt(1 - Ups' S^-1 Ups), scale free
         eligible = ~history.visited(points) & ~degenerate
+        idx = np.flatnonzero(eligible)
 
+        # Numerals with one coefficient per eligible candidate.
+        m_ext = mu_ext
+        for w, zi in zip(weights[:, idx], z):
+            m_ext = m_ext + w * (zi - mu_ext)
+        crit = (z_on - m_ext).div_monomial(sigma_ext * ratio[idx])
+        for grade, coeff in sorted(crit.terms.items(), reverse=True):
+            if grade != 0 and coeff.any():
+                raise CollapseError(f"criterion at grid index "
+                                    f"{idx[np.flatnonzero(coeff)[0]]} kept grade {grade}")
+        val = crit.coefficient(0)
+        ref = conventional[idx]
+        dev = np.abs(val - ref) / np.maximum(np.maximum(np.abs(val), np.abs(ref)), 1e-300)
+        max_dev = float(np.fmax.reduce(dev, initial=0.0))  # NaN deviations skipped
         values = np.full(points.shape[0], -np.inf)
-        max_dev = 0.0
-        for idx in np.flatnonzero(eligible):
-            m_ext = mu_ext
-            for i, r in enumerate(residuals):
-                m_ext = m_ext + weights[i, idx] * r
-            denom = sigma_ext * ratio[idx]
-            crit = (z_on - m_ext).div_monomial(denom)
-            if not crit.is_finite:
-                grade, coeff = crit.leading()
-                scale = max(abs(crit.coefficient(0)), 1e-300)
-                if abs(coeff) > collapse_tol * scale or grade > 0:
-                    raise CollapseError(
-                        f"criterion at grid index {idx} kept grade {grade}")
-            val = crit.coefficient(0)
-            ref = conventional[idx]
-            dev = abs(val - ref) / max(abs(val), abs(ref), 1e-300)
-            max_dev = max(max_dev, dev)
-            values[idx] = val
+        values[idx] = val
         certificates.append(StepCertificate(history.n - n_initial + 1, max_dev,
-                                            max_dev <= collapse_tol))
-        if max_dev > collapse_tol:
+                                            max_dev <= COLLAPSE_TOL))
+        if max_dev > COLLAPSE_TOL:
             raise CollapseError(
                 f"extended criterion deviates from conventional by {max_dev:.3e}")
         return select_best(values, eligible, points)

@@ -237,6 +237,11 @@ def direct_homogeneity_check(case: Optional[DirectCounterexample] = None):
     case = case or build_direct_counterexample()
     _, base = direct1d.run_direct(case.objective, case.lower, case.upper,
                                   case.epsilon, case.budget)
+    return compare_direct_shift(case, base)
+
+
+def compare_direct_shift(case: DirectCounterexample, base):
+    """``direct_homogeneity_check`` against the base trace of ``case``, already run."""
     shifted_obj = lambda x: case.objective(x) + case.shift
     _, shifted = direct1d.run_direct(shifted_obj, case.lower, case.upper,
                                      case.epsilon, case.budget)

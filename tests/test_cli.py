@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from scaleopt import cli
+from scaleopt import cli, harness
 
 
 def run_cli(args):
@@ -123,3 +124,28 @@ class TestDirectDemo:
         assert (tmp_path / "demo_partition.json").exists()
         assert (tmp_path / "demo_trace.csv").exists()
         assert "mismatch at iteration" in capsys.readouterr().out
+
+    def test_base_run_evaluated_once(self, tmp_path, monkeypatch):
+        build = harness.build_direct_counterexample
+        objective = inspect.signature(build).parameters["objective"].default
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return objective(x)
+
+        monkeypatch.setattr(harness, "build_direct_counterexample",
+                            lambda **kwargs: build(objective=counted, **kwargs))
+        assert run_cli(["direct-demo", "--output", str(tmp_path / "demo")]) == 0
+        # builder 5, base run 27, shifted run 15
+        assert len(calls) == 47
+
+    @pytest.mark.parametrize("args", [["direct-demo"],
+                                      ["homogeneity", "--algorithm", "direct"]])
+    def test_shift_printed_as_plain_float(self, args, tmp_path, capsys):
+        if args[0] == "direct-demo":
+            args = args + ["--output", str(tmp_path / "demo")]
+        run_cli(args)
+        out = capsys.readouterr().out
+        assert "176.05067974074205" in out
+        assert "np.float64" not in out

@@ -7,8 +7,9 @@ says which case and why, and rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-The extended-numeral run pins only its grid indices: its model values
-may move in the last bits without changing a selection.
+The extended-numeral runs pin their trace CSV and each step's certificate
+deviation in hexadecimal, so a change to the numeral arithmetic that moves
+one bit of a collapsed criterion shows.
 """
 
 import json
@@ -67,6 +68,19 @@ def _numeral_indices():
     return json.dumps(out, indent=2) + "\n"
 
 
+def _numeral_runs():
+    out = {}
+    for a, b in (("G", "G^2"), ("3*G^-2", "-7")):
+        trace, certificates = scaled_criterion_run(sin3x2, a, b, [-1.0], [1.0],
+                                                   budget=15)
+        out[f"sin3x2 a={a} b={b}"] = {
+            "trace": trace.to_csv(),
+            "max_relative_deviation": [c.max_relative_deviation.hex()
+                                       for c in certificates],
+        }
+    return json.dumps(out, indent=2) + "\n"
+
+
 CASES = {
     **{f"run_{alg}_{est}{suffix}": _run_case(alg, est, suffix)
        for alg in ("p", "ei") for est in ("mle", "sample")
@@ -76,6 +90,7 @@ CASES = {
     "direct_demo_partition.json": _direct_demo_case("_partition.json"),
     "direct_demo_trace.csv": _direct_demo_case("_trace.csv"),
     "numeral_grid_indices.json": _numeral_indices,
+    "numeral_runs.json": _numeral_runs,
 }
 
 

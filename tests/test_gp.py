@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scaleopt import gp
 from scaleopt.errors import DuplicatePointsError, InsufficientDataError
 from scaleopt.gp import (
     CorrelationKernel,
@@ -130,6 +131,26 @@ class TestMleEstimator:
             KERNEL)
         assert scaled.mu == pytest.approx(a * base.mu + b, rel=1e-9, abs=1e-9)
         assert scaled.sigma2 == pytest.approx(a * a * base.sigma2, rel=1e-9)
+
+
+class TestPosteriorFactor:
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    def test_one_cholesky_per_posterior(self, estimator, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cho_factor(*args, **kwargs)
+
+        cho_factor = gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor", counting)
+        posterior = build_posterior(fig1_history(), KERNEL, estimator)
+        assert len(calls) == 1
+        assert posterior.parameters.estimator_tag == estimator
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError):
+            build_posterior(fig1_history(), KERNEL, "median")
 
 
 class TestConditionalMoments:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scaleopt import optimizer as opt
 from scaleopt.errors import (
     AllCandidatesDegenerateError,
+    CollapseError,
     UnsupportedDivisionError,
     UnsupportedScaleError,
 )
@@ -90,6 +91,59 @@ class TestArithmetic:
         close(lambda x, y, z: (x + y) + z, lambda x, y, z: x + (y + z))
         close(lambda x, y, z: x * (y + z), lambda x, y, z: x * y + x * z)
         close(lambda x, y, z: (x * y) * z, lambda x, y, z: x * (y * z))
+
+
+def pack(columns):
+    """One array numeral whose column j is the single numeral columns[j]."""
+    grades = sorted({g for col in columns for g in col.terms})
+    return ExtendedNumeral({g: [col.coefficient(g) for col in columns] for g in grades},
+                           [col.cancellation for col in columns])
+
+
+def assert_columns(packed, columns):
+    for j, col in enumerate(columns):
+        for g in set(packed.terms) | set(col.terms):
+            coeff = np.broadcast_to(packed.coefficient(g), (len(columns),))[j]
+            assert coeff == col.coefficient(g), (j, g)
+        assert bool(packed.cancellation[j]) == col.cancellation, j
+
+
+# A product sums its terms in the order of the factors' grades, so the
+# columns list their grades in ascending order, as ``pack`` does.
+sorted_numerals = numerals.map(lambda n: ExtendedNumeral(dict(sorted(n.terms.items()))))
+columns = st.lists(
+    st.tuples(sorted_numerals, sorted_numerals,
+              st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-6)),
+    min_size=1, max_size=6)
+
+
+class TestArrayCoefficients:
+    @given(cols=columns, s=numerals)
+    @settings(max_examples=100, deadline=None)
+    @example(cols=[(ExtendedNumeral({0: 2.0, 1: 1.0}), ExtendedNumeral({1: -(1.0 - 1e-16)}), 2.0),
+                   (ExtendedNumeral({1: 1.0}), ExtendedNumeral({-1: 3.0, 1: -0.5}), -1.5)],
+             s=ExtendedNumeral({0: 4.0, 1: -1.0}))
+    def test_ops_match_single_numerals_column_by_column(self, cols, s):
+        xs, ys, ws = (list(c) for c in zip(*cols))
+        x, y, w = pack(xs), pack(ys), np.array(ws)
+        divisor = ExtendedNumeral({2: w})
+        assert_columns(x + y, [xi + yi for xi, yi in zip(xs, ys)])
+        assert_columns(x - y, [xi - yi for xi, yi in zip(xs, ys)])
+        assert_columns(x * y, [xi * yi for xi, yi in zip(xs, ys)])
+        assert_columns(-x, [-xi for xi in xs])
+        assert_columns(s - x, [s - xi for xi in xs])
+        assert_columns(w * s, [wi * s for wi in ws])
+        assert_columns(x + w, [xi + wi for xi, wi in zip(xs, ws)])
+        assert_columns(x.div_monomial(divisor),
+                       [xi.div_monomial(ExtendedNumeral.monomial(wi, 2))
+                        for xi, wi in zip(xs, ws)])
+
+    def test_cancellation_is_per_column(self):
+        x = pack([ExtendedNumeral({1: 1.0}), ExtendedNumeral({1: 1.0})])
+        y = pack([ExtendedNumeral({1: -(1.0 - 1e-16)}), ExtendedNumeral({1: -0.5})])
+        out = x + y
+        assert out.cancellation.tolist() == [True, False]
+        assert out.coefficient(1).tolist() == [0.0, 0.5]
 
 
 class TestDivision:
@@ -196,6 +250,17 @@ class TestScaledCriterionRun:
             opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=1)
         with pytest.raises(AllCandidatesDegenerateError):
             scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0], budget=1)
+
+    def test_certificate_fails_on_perturbed_weights(self, monkeypatch):
+        moments_with_weights = SurrogatePosterior.moments_with_weights
+
+        def perturbed(self, points):
+            means, variances, clamped, weights = moments_with_weights(self, points)
+            return means, variances, clamped, weights * (1.0 + 1e-6)
+
+        monkeypatch.setattr(SurrogatePosterior, "moments_with_weights", perturbed)
+        with pytest.raises(CollapseError, match="deviates"):
+            scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0], budget=3)
 
     def test_infinitesimal_scaling(self):
         # gramacy-lee has nearly symmetric criterion peaks, so compare with
