@@ -37,7 +37,19 @@ def _add_common_run_flags(p):
     p.add_argument("--config", help="JSON file with defaults; flags override")
 
 
-def _apply_config_file(args, argv):
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports a bad flag or file value as a ConfigError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _apply_config_file(parser, args, argv):
+    """Parse again with the file's values as flags, checked as flags are.
+
+    They go ahead of argv's flags, so a flag given on the command line wins.
+    """
     if not getattr(args, "config", None):
         return args
     try:
@@ -45,17 +57,14 @@ def _apply_config_file(args, argv):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    defaults = {k.replace("-", "_"): v for k, v in data.items()}
-    unknown = set(defaults) - set(vars(args))
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = {k.replace("-", "_") for k in data} - set(vars(args))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # Flags explicitly given on the command line win over file values.
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    for key, value in defaults.items():
-        if key not in given:
-            setattr(args, key, value)
-    return args
+    file_flags = [f"--{key.replace('_', '-')}={value}" for key, value in data.items()]
+    split = argv.index(args.command) + 1
+    return parser.parse_args(argv[:split] + file_flags + argv[split:])
 
 
 def _build_kwargs(args):
@@ -149,7 +158,7 @@ def cmd_direct_demo(args) -> int:
 
 
 def make_parser():
-    parser = argparse.ArgumentParser(prog="scaleopt")
+    parser = _Parser(prog="scaleopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an optimization")
@@ -190,7 +199,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,10 +34,6 @@ class UnsupportedDivisionError(ScaleoptError):
     """Extended-numeral division by a non-monomial or zero."""
 
 
-class UnsupportedScaleError(ScaleoptError):
-    """Scale factor for an extended-arithmetic run must be a positive monomial."""
-
-
 class CollapseError(ScaleoptError):
     """Extended criterion failed to collapse to a purely finite value."""
 
@@ -48,3 +44,7 @@ class PreconditionError(ScaleoptError):
 
 class ConfigError(ScaleoptError):
     """Invalid run configuration."""
+
+
+class UnsupportedScaleError(ConfigError):
+    """Scale factor for an extended-arithmetic run must be a positive monomial."""

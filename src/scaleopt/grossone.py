@@ -8,9 +8,11 @@ objective values by ``a * y + b`` with infinite or infinitesimal a, b
 and to evaluate the improvement-probability criterion on the scaled
 values.  The criterion is a ratio whose grades cancel, so each evaluation
 collapses back to an ordinary finite number; the collapse is checked at
-run time.  Coefficients may be float arrays of one shape, an array of
-numerals over shared grades whose zero entries are absent terms; order,
-hashing and the text form are defined for single numerals only.
+run time.  Sums are exact gradewise: a grade vanishes only if its terms
+cancel exactly, and single numerals are equal only if their terms are.
+Coefficients may be float arrays of one shape, an array of numerals over
+shared grades whose zero entries are absent terms; order, hashing and the
+text form are defined for single numerals only.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from .optimizer import (
     select_best,
 )
 
-# Coefficients whose magnitude falls below this fraction of the operand
-# coefficients are treated as cancelled.
-CANCEL_REL = 1e-15
-
 # Largest relative deviation of a collapsed criterion from the float one.
 COLLAPSE_TOL = 1e-9
 
@@ -43,21 +41,17 @@ COLLAPSE_TOL = 1e-9
 class ExtendedNumeral:
     """Immutable finite sum of c * G^p terms in canonical form."""
 
-    __slots__ = ("terms", "cancellation")
+    __slots__ = ("terms",)
     __array_ufunc__ = None  # ndarray operands defer to the reflected operators
 
-    def __init__(self, terms=None, _cancellation=False):
+    def __init__(self, terms=None):
         canonical = {int(g): np.asarray(c, dtype=float) for g, c in (terms or {}).items()}
-        shape = np.broadcast_shapes(np.shape(_cancellation),
-                                    *(c.shape for c in canonical.values()))
+        shape = np.broadcast_shapes(*(c.shape for c in canonical.values()))
         if shape:
             canonical = {g: np.broadcast_to(c, shape) for g, c in canonical.items()}
-            cancellation = np.broadcast_to(np.asarray(_cancellation, dtype=bool), shape)
         else:
             canonical = {g: float(c) for g, c in canonical.items() if c != 0.0}
-            cancellation = bool(_cancellation)
         object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "cancellation", cancellation)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtendedNumeral is immutable")
@@ -107,15 +101,9 @@ class ExtendedNumeral:
     def _combine(self, other, sign):
         other = _coerce(other)
         terms = dict(self.terms)
-        cancelled = self.cancellation | other.cancellation
         for grade, coeff in other.terms.items():
-            old = terms.get(grade, 0.0)
-            new = old + sign * coeff
-            scale = np.maximum(np.abs(old), np.abs(coeff))
-            hit = (new != 0.0) & (np.abs(new) < CANCEL_REL * scale)
-            cancelled = cancelled | hit
-            terms[grade] = np.where(hit, 0.0, new)
-        return ExtendedNumeral(terms, cancelled)
+            terms[grade] = terms.get(grade, 0.0) + sign * coeff
+        return ExtendedNumeral(terms)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -129,8 +117,7 @@ class ExtendedNumeral:
         return _coerce(other) - self
 
     def __neg__(self):
-        return ExtendedNumeral({g: -c for g, c in self.terms.items()},
-                               self.cancellation)
+        return ExtendedNumeral({g: -c for g, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -138,7 +125,7 @@ class ExtendedNumeral:
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
                 terms[g1 + g2] = terms.get(g1 + g2, 0.0) + c1 * c2
-        return ExtendedNumeral(terms, self.cancellation | other.cancellation)
+        return ExtendedNumeral(terms)
 
     __rmul__ = __mul__
 
@@ -148,8 +135,7 @@ class ExtendedNumeral:
             raise UnsupportedDivisionError(
                 "division is supported only by a single nonzero term")
         grade, coeff = next(iter(divisor.terms.items()))
-        return ExtendedNumeral({g - grade: c / coeff for g, c in self.terms.items()},
-                               self.cancellation | divisor.cancellation)
+        return ExtendedNumeral({g - grade: c / coeff for g, c in self.terms.items()})
 
     def __truediv__(self, other):
         return self.div_monomial(other)
@@ -182,7 +168,8 @@ class ExtendedNumeral:
         return self.compare(other) == 0
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        # Equal numerals have equal terms, and a finite one equals its real.
+        return hash(self.to_real() if self.is_finite else tuple(sorted(self.terms.items())))
 
     # -- text form ----------------------------------------------------
 
@@ -256,6 +243,8 @@ def parse_numeral(text: str) -> ExtendedNumeral:
         total = total + ExtendedNumeral.monomial(factor * magnitude, grade)
         pos = match.end()
         first = False
+    if not all(np.isfinite(c) for c in total.terms.values()):
+        raise ValueError(f"numeral {text!r} has a coefficient beyond float64 range")
     return total
 
 
@@ -273,14 +262,6 @@ class StepCertificate:
     iteration: int
     max_relative_deviation: float
     collapsed: bool
-
-
-def _require_positive_monomial(a: ExtendedNumeral) -> None:
-    if not a.is_monomial:
-        raise UnsupportedScaleError("scale factor a must be a single term c*G^p")
-    _, coeff = a.leading()
-    if coeff <= 0:
-        raise UnsupportedScaleError("scale factor a must be positive")
 
 
 def scaled_criterion_run(objective, a, b, lower, upper,
@@ -304,7 +285,10 @@ def scaled_criterion_run(objective, a, b, lower, upper,
     """
     a = as_numeral(a)
     b = as_numeral(b)
-    _require_positive_monomial(a)
+    if not a.is_monomial:
+        raise UnsupportedScaleError("scale factor a must be a single term c*G^p")
+    if a.leading()[1] <= 0:
+        raise UnsupportedScaleError("scale factor a must be positive")
     if initial_design is None:
         initial_design = default_initial_design(lower, upper)
     n_initial = len(np.atleast_2d(initial_design))

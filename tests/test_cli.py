@@ -104,6 +104,43 @@ class TestHomogeneity:
                         "--budget", "2"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("args, config, code", [
+    # config file values are parsed with the types and choices of the flags
+    pytest.param(["run", "--budget", "3"], '{"budget": 2.5}', cli.EXIT_CONFIG,
+                 id="config-budget-float"),
+    pytest.param(["run", "--budget", "3"], '{"budget": true}', cli.EXIT_CONFIG,
+                 id="config-budget-bool"),
+    pytest.param(["run"], '{"epsilon": "abc"}', cli.EXIT_CONFIG,
+                 id="config-epsilon-text"),
+    pytest.param(["run"], '[3]', cli.EXIT_CONFIG, id="config-not-object"),
+    pytest.param(["run"], '{"budget": "3"}', cli.EXIT_OK, id="config-budget-string"),
+    pytest.param(["run", "--budget", "3"], '{"grid_resolution": "51"}', cli.EXIT_OK,
+                 id="config-resolution-string"),
+    # an extended scale factor must be a positive monomial
+    pytest.param(["homogeneity", "--a=-G", "--budget", "2"], None, cli.EXIT_CONFIG,
+                 id="scale-negative"),
+    pytest.param(["homogeneity", "--a", "G+1", "--budget", "2"], None, cli.EXIT_CONFIG,
+                 id="scale-two-terms"),
+    # numeral literals must fit in float64
+    pytest.param(["homogeneity", "--a", "1e400", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-a-overflow"),
+    pytest.param(["homogeneity", "--b=1e400", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-b-overflow"),
+    pytest.param(["homogeneity", "--a=1e400*G", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-grade-overflow"),
+])
+def test_exit_codes(args, config, code, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    if args[0] == "run":
+        args = args + ["--output", str(tmp_path / "t")]
+    assert run_cli(args) == code
+    if code == cli.EXIT_CONFIG:
+        assert "error:" in capsys.readouterr().err
+
+
 class TestExampleFig1:
     def test_emits_plot_data(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
