@@ -102,12 +102,6 @@ def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLeve
                    points: np.ndarray):
     """Criterion values and degeneracy mask over an (m, d) candidate array."""
     means, variances, _ = posterior.moments_grid(points)
-    return criterion_from_moments(kind, posterior, asp, means, variances)
-
-
-def criterion_from_moments(kind: str, posterior: SurrogatePosterior,
-                           asp: AspirationLevel, means, variances):
-    """``criterion_grid`` from conditional means and variances already at hand."""
     s = np.sqrt(variances)
     degenerate = s <= DEGENERATE_FACTOR * posterior.parameters.sigma
     if kind == P_CRITERION:

@@ -227,23 +227,15 @@ class SurrogatePosterior:
 
         Returns (means, variances, clamped_mask) as arrays of length m.
         """
-        return self.moments_with_weights(points)[:3]
-
-    def moments_with_weights(self, points: np.ndarray):
-        """``moments_grid`` plus the grid weights S^-1 Ups (n, m) it solves for.
-
-        Column j weighs the history residuals into the mean at point j.
-        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d = _cross_distances(self.history.points, points)  # (n, m)
         ups = self.kernel.of_distance(d)
-        weights = cho_solve(self._factor, ups)
         means = self.parameters.mu + self._resid_weights @ ups
-        raw = 1.0 - np.einsum("im,im->m", ups, weights)
+        raw = 1.0 - np.einsum("im,im->m", ups, cho_solve(self._factor, ups))
         sigma2 = self.parameters.sigma2
         clamped = raw < -VARIANCE_CLAMP_TOL
         variances = sigma2 * np.clip(raw, 0.0, 1.0)
-        return means, variances, clamped, weights
+        return means, variances, clamped
 
 
 def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,

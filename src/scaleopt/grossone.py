@@ -2,56 +2,53 @@
 
 A numeral is a finite sum of terms ``c * G^p`` with integer grades p,
 where G denotes the base infinite unit: p > 0 terms are infinite, p = 0
-finite, p < 0 infinitesimal.  The supported operations (+, -, *,
-division by a monomial, total order) are exactly what is needed to scale
-objective values by ``a * y + b`` with infinite or infinitesimal a, b
-and to evaluate the improvement-probability criterion on the scaled
-values.  The criterion is a ratio whose grades cancel, so each evaluation
-collapses back to an ordinary finite number; the collapse is checked at
-run time.  Sums are exact gradewise: a grade vanishes only if its terms
-cancel exactly, and single numerals are equal only if their terms are.
-Coefficients may be float arrays of one shape, an array of numerals over
-shared grades whose zero entries are absent terms; order, hashing and the
-text form are defined for single numerals only.
+finite, p < 0 infinitesimal.  Coefficients are exact ``Fraction``s, so
+every operation (+, -, *, division by a monomial, total order) is exact:
+a grade vanishes only if its terms cancel, two numerals are equal only if
+their terms are, and hashing agrees with equality.
+
+``scaled_criterion_run`` runs an optimizer on ``z = a*f(x) + b`` with
+infinite or infinitesimal a and b.  It normalizes the numeral values by
+the optimizer's own rule, ``(z - z_0)/s``; for a positive monomial a this
+cancels every grade and leaves exactly the finite value a run on f would
+see, and any value that keeps a term outside grade 0 raises
+``CollapseError``.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import acquisition as acq
-from .errors import CollapseError, UnsupportedDivisionError, UnsupportedScaleError
+from .errors import (
+    CollapseError,
+    ObjectiveEvaluationError,
+    UnsupportedDivisionError,
+    UnsupportedScaleError,
+)
 from .gp import CorrelationKernel
 from .optimizer import (
     P_ALGORITHM,
+    AffineNormalization,
     CandidateGrid,
-    default_initial_design,
     grid_run,
-    select_best,
 )
-
-# Largest relative deviation of a collapsed criterion from the float one.
-COLLAPSE_TOL = 1e-9
 
 
 class ExtendedNumeral:
     """Immutable finite sum of c * G^p terms in canonical form."""
 
     __slots__ = ("terms",)
-    __array_ufunc__ = None  # ndarray operands defer to the reflected operators
 
     def __init__(self, terms=None):
-        canonical = {int(g): np.asarray(c, dtype=float) for g, c in (terms or {}).items()}
-        shape = np.broadcast_shapes(*(c.shape for c in canonical.values()))
-        if shape:
-            canonical = {g: np.broadcast_to(c, shape) for g, c in canonical.items()}
-        else:
-            canonical = {g: float(c) for g, c in canonical.items() if c != 0.0}
-        object.__setattr__(self, "terms", canonical)
+        canonical = {int(g): Fraction(c) for g, c in (terms or {}).items()}
+        object.__setattr__(self, "terms", {g: c for g, c in canonical.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtendedNumeral is immutable")
@@ -60,11 +57,11 @@ class ExtendedNumeral:
 
     @classmethod
     def from_real(cls, r) -> "ExtendedNumeral":
-        return cls({0: float(r)})
+        return cls({0: r})
 
     @classmethod
-    def monomial(cls, coeff: float, grade: int) -> "ExtendedNumeral":
-        return cls({int(grade): float(coeff)})
+    def monomial(cls, coeff, grade: int) -> "ExtendedNumeral":
+        return cls({grade: coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -84,14 +81,14 @@ class ExtendedNumeral:
     def leading(self):
         """(grade, coefficient) of the highest-grade term."""
         if self.is_zero:
-            return (0, 0.0)
+            return (0, Fraction(0))
         grade = max(self.terms)
         return grade, self.terms[grade]
 
-    def coefficient(self, grade: int) -> float:
-        return self.terms.get(int(grade), 0.0)
+    def coefficient(self, grade: int) -> Fraction:
+        return self.terms.get(int(grade), Fraction(0))
 
-    def to_real(self) -> float:
+    def to_real(self) -> Fraction:
         if not self.is_finite:
             raise ValueError(f"{self} has infinite or infinitesimal part")
         return self.coefficient(0)
@@ -102,16 +99,16 @@ class ExtendedNumeral:
         other = _coerce(other)
         terms = dict(self.terms)
         for grade, coeff in other.terms.items():
-            terms[grade] = terms.get(grade, 0.0) + sign * coeff
+            terms[grade] = terms.get(grade, 0) + sign * coeff
         return ExtendedNumeral(terms)
 
     def __add__(self, other):
-        return self._combine(other, 1.0)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, -1.0)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -124,7 +121,7 @@ class ExtendedNumeral:
         terms = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
-                terms[g1 + g2] = terms.get(g1 + g2, 0.0) + c1 * c2
+                terms[g1 + g2] = terms.get(g1 + g2, 0) + c1 * c2
         return ExtendedNumeral(terms)
 
     __rmul__ = __mul__
@@ -163,7 +160,7 @@ class ExtendedNumeral:
         return self.compare(other) >= 0
 
     def __eq__(self, other):
-        if not isinstance(other, (ExtendedNumeral, int, float)):
+        if not isinstance(other, (ExtendedNumeral, int, float, Fraction)):
             return NotImplemented
         return self.compare(other) == 0
 
@@ -185,10 +182,10 @@ class ExtendedNumeral:
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
             if grade == 0:
-                body = repr(mag)
+                body = _coefficient_text(mag)
             else:
                 power = "G" if grade == 1 else f"G^{grade}"
-                body = power if mag == 1.0 else f"{mag!r}*{power}"
+                body = power if mag == 1 else f"{_coefficient_text(mag)}*{power}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -197,20 +194,27 @@ class ExtendedNumeral:
         return out
 
 
+def _coefficient_text(c: Fraction) -> str:
+    """A coefficient that is a float as that float's repr, any other as p/q."""
+    as_float = float(c) if abs(c) <= sys.float_info.max else math.inf
+    return repr(as_float) if as_float == c else str(c)
+
+
 def _coerce(value) -> ExtendedNumeral:
     if isinstance(value, ExtendedNumeral):
         return value
-    if isinstance(value, (int, float, np.ndarray)):
+    if isinstance(value, (int, float, Fraction)):
         return ExtendedNumeral({0: value})
     raise TypeError(f"cannot interpret {value!r} as an extended numeral")
 
 
-GROSSONE = ExtendedNumeral.monomial(1.0, 1)
+GROSSONE = ExtendedNumeral.monomial(1, 1)
 
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)\s*
         (?:
-            (?P<coeff>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(?:\*\s*(?P<unit1>G(?:\^(?P<p1>-?\d+))?))?
+            (?P<coeff>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?:/0*[1-9]\d*)?)\s*
+            (?:\*\s*(?P<unit1>G(?:\^(?P<p1>-?\d+))?))?
           | (?P<unit2>G(?:\^(?P<p2>-?\d+))?)
         )\s*""",
     re.VERBOSE,
@@ -218,7 +222,7 @@ _TERM_RE = re.compile(
 
 
 def parse_numeral(text: str) -> ExtendedNumeral:
-    """Parse the textual numeral form, e.g. ``3*G^2 + 1.5 - 2*G^-1``."""
+    """Parse the textual numeral form, e.g. ``3*G^2 + 1.5 - 2*G^-1`` or ``1/3*G``."""
     pos = 0
     text = text.strip()
     if not text:
@@ -232,18 +236,23 @@ def parse_numeral(text: str) -> ExtendedNumeral:
         sign = match.group("sign")
         if not first and sign == "":
             raise ValueError(f"missing +/- between terms in {text!r}")
-        factor = -1.0 if sign == "-" else 1.0
+        factor = -1 if sign == "-" else 1
         coeff = match.group("coeff")
         unit = match.group("unit1") or match.group("unit2")
         power = match.group("p1") or match.group("p2")
         grade = 0
         if unit is not None:
             grade = int(power) if power is not None else 1
-        magnitude = float(coeff) if coeff is not None else 1.0
+        if coeff is None:
+            magnitude = 1.0
+        else:  # a decimal is read as a float, p/q exactly
+            magnitude = Fraction(coeff) if "/" in coeff else float(coeff)
+        if magnitude > sys.float_info.max:
+            raise ValueError(f"numeral {text!r} has a coefficient beyond float64 range")
         total = total + ExtendedNumeral.monomial(factor * magnitude, grade)
         pos = match.end()
         first = False
-    if not all(np.isfinite(c) for c in total.terms.values()):
+    if any(abs(c) > sys.float_info.max for c in total.terms.values()):
         raise ValueError(f"numeral {text!r} has a coefficient beyond float64 range")
     return total
 
@@ -255,9 +264,27 @@ def as_numeral(value) -> ExtendedNumeral:
     return _coerce(value)
 
 
+def positive_scale(a) -> ExtendedNumeral:
+    """The scale factor a as a numeral, checked to be one positive term c*G^p.
+
+    Any finite a > 0 is such a term; this is the one rule for every scaling.
+    """
+    a = as_numeral(a)
+    if a.leading()[1] <= 0:
+        raise UnsupportedScaleError("scale factor a must be positive")
+    if not a.is_monomial:
+        raise UnsupportedScaleError("scale factor a must be a single term c*G^p")
+    return a
+
+
 @dataclass(frozen=True)
 class StepCertificate:
-    """Evidence that every extended criterion value collapsed to grade 0."""
+    """Evidence that a step's normalized observation collapsed to grade 0.
+
+    A run that returns has collapsed every value exactly, so every
+    certificate reads ``collapsed`` with deviation 0.0; a value that does
+    not collapse raises ``CollapseError`` instead.
+    """
 
     iteration: int
     max_relative_deviation: float
@@ -268,71 +295,41 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                          initial_design=None, budget: int = 15,
                          kernel: Optional[CorrelationKernel] = None,
                          estimator: str = "mle", epsilon: float = 0.1,
-                         grid: Optional[CandidateGrid] = None):
-    """P-algorithm run on extended-numeral values z = a*f(x) + b.
+                         grid: Optional[CandidateGrid] = None,
+                         algorithm: str = P_ALGORITHM):
+    """Run ``algorithm`` on the extended-numeral values z = a*f(x) + b.
 
-    The common run loop (``optimizer.grid_run``) builds the float model
-    from the values h_i = y_i - y_0 centred on the first observation.  Its
-    selector carries z_i = a*h_i + b (a shift by a*y_0, which changes no
-    criterion), the scaled estimates, the scaled aspiration level and the
-    criterion numerator/denominator as extended numerals, with one array
-    coefficient per eligible candidate.  Each candidate's criterion is
-    divided by the monomial ``a * s_n(x)`` and must collapse to a purely
-    finite value matching the conventional criterion; the per-step
-    certificates record that this happened.
+    Each z is formed as a numeral and normalized by the optimizer's rule,
+    ``AffineNormalization``: h = (z - z_0)/s.  The normalized value must be
+    purely finite, or ``CollapseError`` is raised; the exact finite value
+    then goes to the common run loop (``optimizer.grid_run``), whose own
+    normalization leaves it unchanged.  For a positive monomial a the model
+    therefore sees bit for bit what a run on f sees.  The trace is in the
+    normalized frame, since a numeral objective has no float units.
 
-    Returns (trace, certificates).
+    Returns (trace, certificates), one certificate per step.
     """
-    a = as_numeral(a)
+    a = positive_scale(a)
     b = as_numeral(b)
-    if not a.is_monomial:
-        raise UnsupportedScaleError("scale factor a must be a single term c*G^p")
-    if a.leading()[1] <= 0:
-        raise UnsupportedScaleError("scale factor a must be positive")
-    if initial_design is None:
-        initial_design = default_initial_design(lower, upper)
-    n_initial = len(np.atleast_2d(initial_design))
-    certificates = []
+    normalize = AffineNormalization()
 
-    def select(posterior, asp, grid):
-        history, params = posterior.history, posterior.parameters
-        points = grid.points
-        # Scaled observations and equivariant estimates, as numerals.
-        z = [a * h + b for h in history.values]
-        mu_ext = a * params.mu + b
-        sigma_ext = a * params.sigma  # positive monomial
-        z_on = min(z) - asp.epsilon * sigma_ext
+    def collapsed(x):
+        y = objective(x)
+        if not isinstance(y, ExtendedNumeral) and not math.isfinite(y):
+            raise ObjectiveEvaluationError(x, y)
+        where = np.atleast_1d(x).tolist()
+        try:
+            h = normalize(a * y + b)
+        except UnsupportedDivisionError:
+            raise CollapseError(f"the values up to x={where} differ in more "
+                                f"than one grade") from None
+        if not h.is_finite:
+            raise CollapseError(f"normalized value {h} at x={where} kept a term "
+                                f"outside grade 0")
+        return h.to_real()
 
-        # Residual weights S^-1 Ups per candidate, shared with the float moments.
-        means, variances, _, weights = posterior.moments_with_weights(points)
-        conventional, degenerate = acq.criterion_from_moments(
-            acq.P_CRITERION, posterior, asp, means, variances)
-        ratio = np.sqrt(variances) / params.sigma  # sqrt(1 - Ups' S^-1 Ups), scale free
-        eligible = ~history.visited(points) & ~degenerate
-        idx = np.flatnonzero(eligible)
-
-        # Numerals with one coefficient per eligible candidate.
-        m_ext = mu_ext
-        for w, zi in zip(weights[:, idx], z):
-            m_ext = m_ext + w * (zi - mu_ext)
-        crit = (z_on - m_ext).div_monomial(sigma_ext * ratio[idx])
-        for grade, coeff in sorted(crit.terms.items(), reverse=True):
-            if grade != 0 and coeff.any():
-                raise CollapseError(f"criterion at grid index "
-                                    f"{idx[np.flatnonzero(coeff)[0]]} kept grade {grade}")
-        val = crit.coefficient(0)
-        ref = conventional[idx]
-        dev = np.abs(val - ref) / np.maximum(np.maximum(np.abs(val), np.abs(ref)), 1e-300)
-        max_dev = float(np.fmax.reduce(dev, initial=0.0))  # NaN deviations skipped
-        values = np.full(points.shape[0], -np.inf)
-        values[idx] = val
-        certificates.append(StepCertificate(history.n - n_initial + 1, max_dev,
-                                            max_dev <= COLLAPSE_TOL))
-        if max_dev > COLLAPSE_TOL:
-            raise CollapseError(
-                f"extended criterion deviates from conventional by {max_dev:.3e}")
-        return select_best(values, eligible, points)
-
-    trace = grid_run(P_ALGORITHM, select, objective, lower, upper, initial_design,
+    trace = grid_run(algorithm, collapsed, lower, upper, initial_design,
                      budget, kernel, estimator, epsilon, grid)
-    return trace, certificates
+    # Every observation collapsed exactly, or the run would have raised.
+    return trace, [StepCertificate(r.iteration, 0.0, True)
+                   for r in trace.records if r.iteration > 0]

@@ -119,29 +119,25 @@ def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
                       grid=None, initial_design=None) -> ComparisonReport:
     """Compare a base run against the run on a*f + b.
 
-    a and b may be floats or extended numerals (numeral strings accepted).
-    Finite scalings compose a*f + b exactly (see ``exact_affine``), so the
-    scaled run sees the scaled values themselves, not their float64
-    roundings; extended scalings route the scaled run through the
-    extended-arithmetic criterion evaluation.
+    a and b may be floats or extended numerals (numeral strings accepted);
+    a must be positive, and an extended a a single term, which is checked
+    before anything is evaluated.  Finite scalings compose a*f + b exactly
+    (see ``exact_affine``), so the scaled run sees the scaled values
+    themselves, not their float64 roundings; extended scalings run through
+    ``grossone.scaled_criterion_run``.
     """
-    a_num = grossone.as_numeral(a)
+    a_num = grossone.positive_scale(a)
     b_num = grossone.as_numeral(b)
     kwargs = dict(budget=budget, kernel=kernel, estimator=estimator,
                   epsilon=epsilon, grid=grid, initial_design=initial_design)
     base = optimizer.run(algorithm, objective, lower, upper, **kwargs)
     if a_num.is_finite and b_num.is_finite:
-        av, bv = a_num.to_real(), b_num.to_real()
-        if av == 0:
-            raise ConfigError("scale factor a must be nonzero")
-        scaled = optimizer.run(algorithm, exact_affine(objective, av, bv),
+        scaled = optimizer.run(algorithm,
+                               exact_affine(objective, a_num.to_real(), b_num.to_real()),
                                lower, upper, **kwargs)
     else:
-        if algorithm != optimizer.P_ALGORITHM:
-            raise ConfigError(
-                "extended-numeral scaling is supported for the P-algorithm only")
-        scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num,
-                                                  lower, upper, **kwargs)
+        scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num, lower, upper,
+                                                  algorithm=algorithm, **kwargs)
     return compare_traces(base, scaled, algorithm, a, b)
 
 
@@ -174,8 +170,7 @@ def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
         posterior = build_posterior(history, kernel, estimator)
         asp = acq.aspiration(history, posterior.parameters, epsilon)
         means, variances, _ = posterior.moments_grid(xs)
-        crit, _ = acq.criterion_from_moments(acq.P_CRITERION, posterior, asp,
-                                             means, variances)
+        crit, _ = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
         out[f"m_{tag}"] = means
         out[f"s_{tag}"] = np.sqrt(variances)
         out[f"crit_{tag}"] = crit

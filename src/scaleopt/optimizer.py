@@ -2,22 +2,22 @@
 
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
-be compared point by point.  One loop, ``grid_run``, serves every
-selection rule: ``run`` plugs in the float criterion argmax and
-``grossone.scaled_criterion_run`` an extended-numeral one.
+be compared point by point.  One loop, ``grid_run``, serves ``run`` and
+``grossone.scaled_criterion_run``.
 
-Objective values that are ``Fraction`` or ``int`` are kept exact.  The
-model sees every observation relative to the first one, ``y - y_0``,
-computed exactly and then rounded once; both criteria are invariant
-under translation, so this changes no choice in exact arithmetic, and it
-keeps a signal such as ``1e-8*f + 1e9`` from vanishing below the
-resolution of its offset.  Traces report values in the objective's units.
+The model sees only the exact normalization ``h = (y - y_0)/s`` of the
+values (``AffineNormalization``), rounded once, so runs on f and on
+``a*f + b`` with any a > 0 feed it bit-identical inputs; both criteria are
+strongly homogeneous, so this changes no choice in exact arithmetic.
+Traces report values in the objective's units: ``mu`` and ``y_on`` as
+``y_0 + s*v``, ``sigma2`` as ``s**2 * sigma2`` and the expected
+improvement as ``s * EI``; the improvement-probability criterion is scale
+free.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -213,24 +213,43 @@ def default_initial_design(lower, upper, count: int = 5) -> np.ndarray:
     return np.vstack([corners, center[None, :]])
 
 
-def _evaluate(objective: Callable, point: np.ndarray):
-    """Objective value at point; Fraction and int values are kept exact."""
+def _evaluate(objective: Callable, point: np.ndarray) -> Fraction:
+    """Objective value at point as an exact Fraction; non-finite values raise."""
     value = objective(point if point.size > 1 else point[0])
-    exact = isinstance(value, (Fraction, int))
     try:
         as_float = float(value)
     except OverflowError:
         as_float = math.inf
     if not math.isfinite(as_float):
         raise ObjectiveEvaluationError(point, value)
-    return value if exact else as_float
+    return Fraction(value if isinstance(value, (Fraction, int)) else as_float)
 
 
-def _exact_sum(x, y) -> float:
-    """x + y computed exactly and rounded once to float."""
-    if type(x) is float and type(y) is float:
-        return x + y  # IEEE addition rounds the exact sum once
-    return float(Fraction(x) + Fraction(y))
+class AffineNormalization:
+    """The map y -> (y - y_0)/s over one run's values, in exact arithmetic.
+
+    y_0 is the first value and s = |y_k - y_0| for the first y_k != y_0,
+    the max - min of the values at that observation; s is then fixed, and
+    until it exists every value maps to 0.  Values may be ``Fraction``s or
+    extended numerals.
+    """
+
+    def __init__(self):
+        self.anchor = None
+        self.scale = None
+
+    def __call__(self, y):
+        if self.anchor is None:
+            self.anchor = y
+        diff = y - self.anchor
+        if self.scale is None and diff != 0:
+            self.scale = diff if diff > 0 else -diff
+        return diff if self.scale is None else diff / self.scale
+
+    def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
+        """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once."""
+        out = Fraction(v) * (self.scale or 1) ** power
+        return float(out + self.anchor if shifted else out)
 
 
 def run(algorithm: str, objective: Callable, lower, upper,
@@ -238,23 +257,23 @@ def run(algorithm: str, objective: Callable, lower, upper,
         kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
         epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
     """Run a surrogate-guided optimization for a fixed evaluation budget."""
-    if algorithm not in _CRITERION_OF:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    select = functools.partial(argmax_criterion, _CRITERION_OF[algorithm])
-    return grid_run(algorithm, select, objective, lower, upper, initial_design,
-                    budget, kernel, estimator, epsilon, grid)
+    return grid_run(algorithm, objective, lower, upper, initial_design, budget,
+                    kernel, estimator, epsilon, grid)
 
 
-def grid_run(algorithm: str, select: Callable, objective: Callable, lower, upper,
+def grid_run(algorithm: str, objective: Callable, lower, upper,
              initial_design: Optional[np.ndarray] = None, budget: int = 20,
              kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
              epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
-    """The sequential run loop shared by every selection rule.
+    """The sequential run loop behind ``run`` and the extended-numeral run.
 
-    ``select(posterior, asp, grid)`` returns each step's ``Selection``; the
-    loop owns the design, the exact anchor, the model, the zero-spread
-    fallback, the aspiration level, the evaluations and the records.
+    It owns the design, the normalization, the model, the zero-spread
+    fallback, the aspiration level, the criterion argmax, the evaluations
+    and the records.
     """
+    if algorithm not in _CRITERION_OF:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    kind = _CRITERION_OF[algorithm]
     kernel = kernel or CorrelationKernel()
     grid = grid or CandidateGrid.for_region(lower, upper)
     if initial_design is None:
@@ -262,25 +281,20 @@ def grid_run(algorithm: str, select: Callable, objective: Callable, lower, upper
     initial_design = np.atleast_2d(np.asarray(initial_design, dtype=float))
 
     trace = OptimizationTrace(algorithm)
+    normalize = AffineNormalization()
     history = None
-    anchor = None  # first observed value, exact
     best = math.inf
 
     def observe(point):
-        nonlocal history, anchor, best
+        nonlocal history, best
         value = _evaluate(objective, point)
-        if anchor is None:
-            anchor = value
         best = min(best, value)
-        centred = _exact_sum(value, -anchor)
+        h = float(normalize(value))
         if history is None:
-            history = EvaluationHistory(lower, upper, point[None, :], [centred])
+            history = EvaluationHistory(lower, upper, point[None, :], [h])
         else:
-            history = history.with_observation(point, centred)
+            history = history.with_observation(point, h)
         return float(value), float(best)
-
-    def uncentre(v):
-        return _exact_sum(anchor, v)
 
     for point in initial_design:
         value, best_f = observe(point)
@@ -290,21 +304,23 @@ def grid_run(algorithm: str, select: Callable, objective: Callable, lower, upper
     for it in range(1, budget + 1):
         posterior = build_posterior(history, kernel, estimator)
         params = posterior.parameters
-        zero_spread = params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu))
-        if zero_spread:
+        mu = normalize.restore(params.mu, shifted=True)
+        sigma2 = normalize.restore(params.sigma2, power=2)
+        if params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu)):
             # Criterion undefined everywhere: take the lowest unvisited index.
             points = grid.points
             sel = select_best(np.zeros(len(points)), ~history.visited(points), points)
             value, best_f = observe(sel.point)
             trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, None,
-                                             uncentre(params.mu), params.sigma2,
-                                             None, best_f, degenerate_step=True))
+                                             mu, sigma2, None, best_f,
+                                             degenerate_step=True))
             continue
         asp = acq.aspiration(history, params, epsilon)
-        sel = select(posterior, asp, grid)
+        sel = argmax_criterion(kind, posterior, asp, grid)
+        criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
+        y_on = normalize.restore(asp.y_on, shifted=True)
         value, best_f = observe(sel.point)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value,
-                                         sel.value, uncentre(params.mu),
-                                         params.sigma2, uncentre(asp.y_on), best_f,
+                                         criterion, mu, sigma2, y_on, best_f,
                                          near_tie_gap=sel.runner_up_gap))
     return trace

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from scaleopt import cli, harness
+from scaleopt import cli, harness, objectives
 
 
 def run_cli(args):
@@ -93,6 +93,11 @@ class TestHomogeneity:
                         "--b", "G^2", "--budget", "5"])
         assert code == 0
 
+    def test_extended_numeral_expected_improvement(self):
+        code = run_cli(["homogeneity", "--algorithm", "ei", "--a", "G",
+                        "--b", "G^2", "--budget", "5"])
+        assert code == 0
+
     def test_direct_counterexample_exits_1(self, capsys):
         code = run_cli(["homogeneity", "--algorithm", "direct",
                         "--budget", "6"])
@@ -116,9 +121,14 @@ class TestHomogeneity:
     pytest.param(["run"], '{"budget": "3"}', cli.EXIT_OK, id="config-budget-string"),
     pytest.param(["run", "--budget", "3"], '{"grid_resolution": "51"}', cli.EXIT_OK,
                  id="config-resolution-string"),
-    # an extended scale factor must be a positive monomial
+    # a scale factor must be positive, and an extended one a single term;
+    # both are checked before the objective is evaluated
     pytest.param(["homogeneity", "--a=-G", "--budget", "2"], None, cli.EXIT_CONFIG,
                  id="scale-negative"),
+    pytest.param(["homogeneity", "--a=-2", "--budget", "2"], None, cli.EXIT_CONFIG,
+                 id="scale-negative-finite"),
+    pytest.param(["homogeneity", "--a=0", "--budget", "2"], None, cli.EXIT_CONFIG,
+                 id="scale-zero"),
     pytest.param(["homogeneity", "--a", "G+1", "--budget", "2"], None, cli.EXIT_CONFIG,
                  id="scale-two-terms"),
     # numeral literals must fit in float64
@@ -129,7 +139,15 @@ class TestHomogeneity:
     pytest.param(["homogeneity", "--a=1e400*G", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-grade-overflow"),
 ])
-def test_exit_codes(args, config, code, tmp_path, capsys):
+def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
+    calls = []
+    lookup = objectives.get_objective
+
+    def counted(name):
+        objective, region = lookup(name)
+        return (lambda x: calls.append(x) or objective(x)), region
+
+    monkeypatch.setattr(objectives, "get_objective", counted)
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -139,6 +157,7 @@ def test_exit_codes(args, config, code, tmp_path, capsys):
     assert run_cli(args) == code
     if code == cli.EXIT_CONFIG:
         assert "error:" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestExampleFig1:

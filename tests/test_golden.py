@@ -3,15 +3,22 @@
 Each case produces text from the public entry points and compares it with
 the file of the same name under ``tests/golden``.  A refactor that keeps
 the behaviour keeps every byte; a change that moves a cell on purpose
-says which case and why, and rewrites the file with
+says which case and why, and rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-The extended-numeral runs pin their trace CSV and each step's certificate
-deviation in hexadecimal, so a change to the numeral arithmetic that moves
-one bit of a collapsed criterion shows.
+which may move float cells only.  It refuses, and writes nothing, if any
+other cell would change: a trace's ``iter``, ``grid_index`` or ``x0``, a
+header, or any byte of the files in ``FROZEN``.  It prints each file's
+largest relative float change.
+
+The extended-numeral runs pin their trace CSV, in the normalized frame
+the numeral run works in, and each step's certificate deviation in
+hexadecimal.
 """
 
+import csv
+import io
 import json
 import sys
 import tempfile
@@ -104,10 +111,92 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
 
+# Files that no rewrite may change, and the cells that must not move: trace
+# columns, and the labels ``_cells`` gives headers and case names.
+FROZEN = {"direct_demo_partition.json", "direct_demo_trace.csv",
+          "numeral_grid_indices.json"}
+EXACT_COLUMNS = {"iter", "grid_index", "x0", "header", "algorithm", "case"}
+
+
+def _cells(text):
+    """(column, cell) pairs of a trace CSV, a trace JSON or ``numeral_runs.json``."""
+    if not text.startswith("{"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return [("header", ",".join(header))] + [
+            pair for row in rows for pair in zip(header, row)]
+    data = json.loads(text)
+    if "records" in data:
+        return [("algorithm", data["algorithm"])] + [
+            (key, repr(value)) for rec in data["records"] for key, value in rec.items()]
+    out = []
+    for case, run in data.items():
+        out += [("case", case)] + _cells(run["trace"])
+        out += [("certificate", cell) for cell in run["max_relative_deviation"]]
+    return out
+
+
+def _number(cell: str) -> float:
+    return float.fromhex(cell) if "0x" in cell else float(cell)
+
+
+def largest_float_change(name, old, new) -> float:
+    """Largest relative change of a float cell from ``old`` to ``new``.
+
+    Raises ``ValueError`` if any other cell changes.
+    """
+    if name in FROZEN:
+        if old != new:
+            raise ValueError(f"{name} may not change")
+        return 0.0
+    old_cells, new_cells = _cells(old), _cells(new)
+    if [c for c, _ in old_cells] != [c for c, _ in new_cells]:
+        raise ValueError(f"{name}: the cells are not the same columns")
+    worst = 0.0
+    for (column, before), (_, after) in zip(old_cells, new_cells):
+        if before == after:
+            continue
+        if column in EXACT_COLUMNS or "" in (before, after) or "None" in (before, after):
+            raise ValueError(f"{name}: {column} cell {before!r} would become {after!r}")
+        x, y = _number(before), _number(after)
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def _edit(text, line, column, cell):
+    lines = text.split("\n")
+    cells = lines[line].split(",")
+    cells[column] = cell
+    lines[line] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def test_rewrite_moves_float_cells_only():
+    text = (GOLDEN / "run_p_mle.csv").read_text()
+    mu = float(text.split("\n")[6].split(",")[5])  # the first step's mu
+    moved = _edit(text, 6, 5, repr(mu * (1 + 2.0 ** -40)))
+    assert 0 < largest_float_change("run_p_mle.csv", text, moved) < 1e-11
+    for column in (0, 1, 2):  # iter, grid_index, x0
+        with pytest.raises(ValueError):
+            largest_float_change("run_p_mle.csv", text, _edit(text, 6, column, "7"))
+    with pytest.raises(ValueError):
+        largest_float_change("direct_demo_trace.csv", text, moved)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden.py --write")
     GOLDEN.mkdir(exist_ok=True)
-    for name, produce in CASES.items():
-        (GOLDEN / name).write_bytes(produce().encode())
-        print(f"wrote {GOLDEN / name}")
+    produced = {name: produce() for name, produce in CASES.items()}
+    changes = {}
+    for name, text in produced.items():
+        path = GOLDEN / name
+        try:
+            changes[name] = (largest_float_change(name, path.read_text(), text)
+                             if path.exists() else None)
+        except ValueError as exc:
+            sys.exit(f"refusing to rewrite the golden files: {exc}")
+    for name, text in produced.items():
+        (GOLDEN / name).write_bytes(text.encode())
+        change = "new file" if changes[name] is None else \
+            f"largest relative float change {changes[name]:.3g}"
+        print(f"wrote {GOLDEN / name}: {change}")

@@ -9,10 +9,11 @@ from scaleopt import optimizer as opt
 from scaleopt.errors import (
     AllCandidatesDegenerateError,
     CollapseError,
+    ObjectiveEvaluationError,
     UnsupportedDivisionError,
     UnsupportedScaleError,
 )
-from scaleopt.gp import SurrogatePosterior
+from scaleopt.gp import CorrelationKernel, SurrogatePosterior
 from scaleopt.grossone import (
     GROSSONE as G,
     ExtendedNumeral,
@@ -61,79 +62,17 @@ class TestArithmetic:
     @given(x=numerals, y=numerals, z=numerals)
     @settings(max_examples=100, deadline=None)
     # (x*y)*z cancels to a grade-0 coefficient of 6.1e3 from terms whose
-    # magnitudes sum to 3.7e8; its rounding error, 1.2e-8, is 3e-17 of that.
+    # magnitudes sum to 3.7e8, which float coefficients could not keep.
     @example(x=ExtendedNumeral({4: -89.0, 0: -0.85, -2: -639.0}),
              y=ExtendedNumeral({3: -420.875, 4: 481.75, -3: 69.0}),
              z=ExtendedNumeral({1: 1.0, 0: 1.0, -1: -696.5, -2: -595.0,
                                 -3: -332.0}))
     def test_ring_axioms(self, x, y, z):
-        def absolute(n):
-            return ExtendedNumeral({g: abs(c) for g, c in n.terms.items()})
-
-        ax, ay, az = absolute(x), absolute(y), absolute(z)
-
-        def close(lhs, rhs):
-            # Rounding error in a grade is bounded relative to the sum of
-            # the magnitudes of its terms, which is that grade's coefficient
-            # of the same expression on coefficient-wise absolute values.
-            bound = lhs(ax, ay, az)
-            d = lhs(x, y, z) - rhs(x, y, z)
-            for g, c in d.terms.items():
-                assert abs(c) <= 1e-12 * bound.coefficient(g)
-        close(lambda x, y, z: x + y, lambda x, y, z: y + x)
-        close(lambda x, y, z: x * y, lambda x, y, z: y * x)
-        close(lambda x, y, z: (x + y) + z, lambda x, y, z: x + (y + z))
-        close(lambda x, y, z: x * (y + z), lambda x, y, z: x * y + x * z)
-        close(lambda x, y, z: (x * y) * z, lambda x, y, z: x * (y * z))
-
-
-def pack(columns):
-    """One array numeral whose column j is the single numeral columns[j]."""
-    grades = sorted({g for col in columns for g in col.terms})
-    return ExtendedNumeral({g: [col.coefficient(g) for col in columns] for g in grades})
-
-
-def assert_columns(packed, columns):
-    for j, col in enumerate(columns):
-        for g in set(packed.terms) | set(col.terms):
-            coeff = np.broadcast_to(packed.coefficient(g), (len(columns),))[j]
-            assert coeff == col.coefficient(g), (j, g)
-
-
-# A product sums its terms in the order of the factors' grades, so the
-# columns list their grades in ascending order, as ``pack`` does.
-sorted_numerals = numerals.map(lambda n: ExtendedNumeral(dict(sorted(n.terms.items()))))
-columns = st.lists(
-    st.tuples(sorted_numerals, sorted_numerals,
-              st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-6)),
-    min_size=1, max_size=6)
-
-
-class TestArrayCoefficients:
-    @given(cols=columns, s=numerals)
-    @settings(max_examples=100, deadline=None)
-    @example(cols=[(ExtendedNumeral({0: 2.0, 1: 1.0}), ExtendedNumeral({1: -(1.0 - 1e-16)}), 2.0),
-                   (ExtendedNumeral({1: 1.0}), ExtendedNumeral({-1: 3.0, 1: -0.5}), -1.5)],
-             s=ExtendedNumeral({0: 4.0, 1: -1.0}))
-    def test_ops_match_single_numerals_column_by_column(self, cols, s):
-        xs, ys, ws = (list(c) for c in zip(*cols))
-        x, y, w = pack(xs), pack(ys), np.array(ws)
-        divisor = ExtendedNumeral({2: w})
-        assert_columns(x + y, [xi + yi for xi, yi in zip(xs, ys)])
-        assert_columns(x - y, [xi - yi for xi, yi in zip(xs, ys)])
-        assert_columns(x * y, [xi * yi for xi, yi in zip(xs, ys)])
-        assert_columns(-x, [-xi for xi in xs])
-        assert_columns(s - x, [s - xi for xi in xs])
-        assert_columns(w * s, [wi * s for wi in ws])
-        assert_columns(x + w, [xi + wi for xi, wi in zip(xs, ws)])
-        assert_columns(x.div_monomial(divisor),
-                       [xi.div_monomial(ExtendedNumeral.monomial(wi, 2))
-                        for xi, wi in zip(xs, ws)])
-
-    def test_near_cancellation_keeps_residue_per_column(self):
-        x = pack([ExtendedNumeral({1: 1.0}), ExtendedNumeral({1: 1.0})])
-        y = pack([ExtendedNumeral({1: -(1.0 - 1e-16)}), ExtendedNumeral({1: -1.0})])
-        assert (x + y).coefficient(1).tolist() == [2.0 ** -53, 0.0]
+        assert x + y == y + x
+        assert x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert (x * y) * z == x * (y * z)
 
 
 class TestDivision:
@@ -177,7 +116,7 @@ class TestOrder:
     @settings(max_examples=100, deadline=None)
     def test_translation_preserves_order(self, x, y, z):
         if x < y:
-            assert x + z <= y + z or (x + z) - (y + z) < ExtendedNumeral.from_real(1e-9)
+            assert x + z < y + z
 
     @given(x=numerals, y=numerals)
     @settings(max_examples=100, deadline=None)
@@ -187,13 +126,14 @@ class TestOrder:
             assert scale * x <= scale * y
 
 
-finite_reals = st.floats(-1e3, 1e3) | st.integers(-1000, 1000)
+finite_reals = st.floats(-1e3, 1e3) | st.integers(-2 ** 64, 2 ** 64)
 values = numerals | finite_reals | finite_reals.map(ExtendedNumeral.from_real)
 
 
 class TestEqualityAndHash:
     def test_equality_is_exact(self):
         assert ExtendedNumeral({1: 1.0 + 2.0 ** -52}) != G
+        assert ExtendedNumeral.from_real(2.0 ** 60) != 2 ** 60 + 1
         assert ExtendedNumeral({1: 2.0, 0: 0.5}) == ExtendedNumeral({0: 0.5, 1: 2.0})
 
     def test_finite_numeral_hashes_as_its_real(self):
@@ -203,6 +143,7 @@ class TestEqualityAndHash:
     @given(x=values, y=values)
     @settings(max_examples=200, deadline=None)
     @example(x=ExtendedNumeral.from_real(1.0), y=1)
+    @example(x=ExtendedNumeral.from_real(2.0 ** 60), y=2 ** 60 + 1)
     @example(x=ExtendedNumeral({1: 2.0, 0: 0.5}), y=ExtendedNumeral({0: 0.5, 1: 2.0}))
     def test_equal_implies_same_hash(self, x, y):
         if x == y:
@@ -218,7 +159,14 @@ class TestTextFormat:
         for text in ["3.0*G^2 + 1.5 - 2.0*G^-1", "G", "-G^3", "0.25",
                      "G - 1.0"]:
             num = parse_numeral(text)
+            assert str(num) == text
             assert parse_numeral(str(num)) == num
+
+    @given(x=numerals, y=numerals)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_exact_coefficients(self, x, y):
+        # products of float coefficients are exact, and print as p/q
+        assert parse_numeral(str(x * y)) == x * y
 
     def test_round_trip_from_real(self):
         assert as_numeral(0.1).to_real() == 0.1
@@ -226,7 +174,8 @@ class TestTextFormat:
 
     def test_rejects_garbage(self):
         # the last three have coefficients beyond float64 range
-        for text in ["", "3**G", "G^", "1 2", "1e400", "-1e400*G", "1e308*G + 1e308*G"]:
+        for text in ["", "3**G", "G^", "1 2", "1/0*G", "1.5/3", "1e400", "-1e400*G",
+                     "1e308*G + 1e308*G"]:
             with pytest.raises(ValueError):
                 parse_numeral(text)
 
@@ -244,36 +193,52 @@ class TestScaledCriterionRun:
         scaled, certs = scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0],
                                              budget=15)
         assert base.grid_indices == scaled.grid_indices
-        assert all(c.collapsed for c in certs)
-        assert max(c.max_relative_deviation for c in certs) <= 1e-9
-        # the same centred float model as the base run, step for step
-        assert [(r.mu, r.sigma2, r.y_on) for r in scaled.records] == \
-            [(r.mu, r.sigma2, r.y_on) for r in base.records]
+        assert all(c.collapsed and c.max_relative_deviation == 0.0 for c in certs)
+        # the model sees the same normalized values as the base run
+        assert [r.criterion for r in scaled.records] == \
+            [r.criterion for r in base.records]
         assert [c.iteration for c in certs] == list(range(1, 16))
+
+    def test_squared_exponential_matches_base_bit_for_bit(self):
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        base = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=15,
+                       kernel=kernel)
+        scaled, _ = scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0],
+                                         budget=15, kernel=kernel)
+        assert scaled.grid_indices == base.grid_indices
+        assert [r.criterion for r in scaled.records] == \
+            [r.criterion for r in base.records]
+
+    def test_expected_improvement_supported(self):
+        base = opt.run(opt.ONE_STEP_BAYES, gramacy_lee, [0.5], [2.5], budget=10)
+        scaled, _ = scaled_criterion_run(gramacy_lee, "2.5*G", "-4*G^2 + 1",
+                                         [0.5], [2.5], budget=10,
+                                         algorithm=opt.ONE_STEP_BAYES)
+        assert scaled.grid_indices == base.grid_indices
 
     def test_all_degenerate_raises_like_argmax(self, monkeypatch):
         def zero_variances(self, points):
             m = len(points)
-            return (np.full(m, self.parameters.mu), np.zeros(m),
-                    np.zeros(m, bool), np.zeros((self.history.n, m)))
+            return np.full(m, self.parameters.mu), np.zeros(m), np.zeros(m, bool)
 
-        monkeypatch.setattr(SurrogatePosterior, "moments_with_weights",
-                            zero_variances)
+        monkeypatch.setattr(SurrogatePosterior, "moments_grid", zero_variances)
         with pytest.raises(AllCandidatesDegenerateError):
             opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=1)
         with pytest.raises(AllCandidatesDegenerateError):
             scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0], budget=1)
 
-    def test_certificate_fails_on_perturbed_weights(self, monkeypatch):
-        moments_with_weights = SurrogatePosterior.moments_with_weights
+    def test_values_not_one_affine_image_fail_to_collapse(self):
+        # G*x on x < 0 and x elsewhere: the spread is set by the infinite
+        # half, so the finite half normalizes to 2 + G^-1 at x = 0.5.
+        def half_infinite(x):
+            return G * x if x < 0 else x
 
-        def perturbed(self, points):
-            means, variances, clamped, weights = moments_with_weights(self, points)
-            return means, variances, clamped, weights * (1.0 + 1e-6)
-
-        monkeypatch.setattr(SurrogatePosterior, "moments_with_weights", perturbed)
-        with pytest.raises(CollapseError, match="deviates"):
-            scaled_criterion_run(sin3x2, "G", "G^2", [-1.0], [1.0], budget=3)
+        with pytest.raises(CollapseError, match="outside grade 0"):
+            scaled_criterion_run(half_infinite, 1.0, 0.0, [-1.0], [1.0], budget=3)
+        # (G + 1)*x: the spread has two grades, so nothing normalizes
+        with pytest.raises(CollapseError, match="more than one grade"):
+            scaled_criterion_run(lambda x: (G + 1) * x, 1.0, 0.0, [-1.0], [1.0],
+                                 budget=3)
 
     def test_infinitesimal_scaling(self):
         # gramacy-lee has nearly symmetric criterion peaks, so compare with
@@ -284,6 +249,11 @@ class TestScaledCriterionRun:
                                          [2.5], budget=10)
         report = compare_traces(base, scaled, opt.P_ALGORITHM, "3*G^-2", "-7")
         assert report.passed
+
+    def test_non_finite_objective_raises(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ObjectiveEvaluationError):
+                scaled_criterion_run(lambda x: bad, "G", "G^2", [-1.0], [1.0], budget=1)
 
     def test_non_monomial_scale_rejected(self):
         with pytest.raises(UnsupportedScaleError):
