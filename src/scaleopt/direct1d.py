@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ObjectiveEvaluationError, PreconditionError
+from .errors import PreconditionError
+from .optimizer import exact_value
 
 # Slack applied to the Lipschitz-bound inequalities; exact boundary
 # equality is measure-zero fragile in floating point.
@@ -161,10 +162,7 @@ def trisect(interval: Interval, objective: Callable):
 
 
 def _evaluate(objective: Callable, x: float) -> float:
-    value = float(objective(x))
-    if not math.isfinite(value):
-        raise ObjectiveEvaluationError(x, value)
-    return value
+    return float(exact_value(objective(x), x))
 
 
 @dataclass

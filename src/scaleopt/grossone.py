@@ -7,12 +7,13 @@ every operation (+, -, *, division by a monomial, total order) is exact:
 a grade vanishes only if its terms cancel, two numerals are equal only if
 their terms are, and hashing agrees with equality.
 
-``scaled_criterion_run`` runs an optimizer on ``z = a*f(x) + b`` with
-infinite or infinitesimal a and b.  It normalizes the numeral values by
-the optimizer's own rule, ``(z - z_0)/s``; for a positive monomial a this
-cancels every grade and leaves exactly the finite value a run on f would
-see, and any value that keeps a term outside grade 0 raises
-``CollapseError``.
+``scaled_criterion_run`` runs an optimizer on ``z = a*f(x) + b`` for any
+positive single-term a, finite, infinite or infinitesimal, and any b; it
+is the scaled run of every homogeneity check.  It normalizes the numeral
+values by the optimizer's own rule, ``(z - z_0)/s``; for a positive
+monomial a this cancels every grade and leaves exactly the finite value a
+run on f would see, so the scaled values themselves are never rounded,
+and any value that keeps a term outside grade 0 raises ``CollapseError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import (
     CollapseError,
-    ObjectiveEvaluationError,
     UnsupportedDivisionError,
     UnsupportedScaleError,
 )
@@ -37,6 +37,7 @@ from .optimizer import (
     P_ALGORITHM,
     AffineNormalization,
     CandidateGrid,
+    exact_value,
     grid_run,
 )
 
@@ -299,13 +300,15 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                          algorithm: str = P_ALGORITHM):
     """Run ``algorithm`` on the extended-numeral values z = a*f(x) + b.
 
-    Each z is formed as a numeral and normalized by the optimizer's rule,
-    ``AffineNormalization``: h = (z - z_0)/s.  The normalized value must be
-    purely finite, or ``CollapseError`` is raised; the exact finite value
-    then goes to the common run loop (``optimizer.grid_run``), whose own
-    normalization leaves it unchanged.  For a positive monomial a the model
-    therefore sees bit for bit what a run on f sees.  The trace is in the
-    normalized frame, since a numeral objective has no float units.
+    f may return numerals or numbers; a number is read by
+    ``optimizer.exact_value``.  Each z is formed as a numeral and normalized
+    by the optimizer's rule, ``AffineNormalization``: h = (z - z_0)/s.  The
+    normalized value must be purely finite, or ``CollapseError`` is raised;
+    the exact finite value then goes to the common run loop
+    (``optimizer.grid_run``), whose own normalization leaves it unchanged.
+    For a positive monomial a the model therefore sees bit for bit what a
+    run on f sees.  The trace is in the normalized frame, for finite and
+    extended scalings alike, so it does not depend on a and b.
 
     Returns (trace, certificates), one certificate per step.
     """
@@ -315,17 +318,16 @@ def scaled_criterion_run(objective, a, b, lower, upper,
 
     def collapsed(x):
         y = objective(x)
-        if not isinstance(y, ExtendedNumeral) and not math.isfinite(y):
-            raise ObjectiveEvaluationError(x, y)
-        where = np.atleast_1d(x).tolist()
+        if not isinstance(y, ExtendedNumeral):
+            y = exact_value(y, x)
         try:
             h = normalize(a * y + b)
         except UnsupportedDivisionError:
-            raise CollapseError(f"the values up to x={where} differ in more "
-                                f"than one grade") from None
+            raise CollapseError(f"the values up to x={np.atleast_1d(x).tolist()} "
+                                f"differ in more than one grade") from None
         if not h.is_finite:
-            raise CollapseError(f"normalized value {h} at x={where} kept a term "
-                                f"outside grade 0")
+            raise CollapseError(f"normalized value {h} at x={np.atleast_1d(x).tolist()} "
+                                f"kept a term outside grade 0")
         return h.to_real()
 
     trace = grid_run(algorithm, collapsed, lower, upper, initial_design,

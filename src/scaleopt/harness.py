@@ -1,17 +1,18 @@
 """Affine-scaling comparison harness.
 
 Runs an algorithm on an objective and on its affinely scaled counterpart
-``a*f + b`` and compares the selected grid indices step by step.  The
-surrogate-based algorithms are expected to produce identical sequences;
-DIRECT is expected to diverge on a suitably constructed translation.
+``a*f + b`` and compares the selected grid indices step by step.  One
+scaled run serves every scaling: ``grossone.scaled_criterion_run`` forms
+``a*f + b`` exactly and normalizes it, whether a and b are finite,
+infinite or infinitesimal.  The surrogate-based algorithms are expected to
+produce identical sequences; DIRECT is expected to diverge on a suitably
+constructed translation.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,26 +94,6 @@ def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
     return report
 
 
-def exact_affine(objective: Callable, a: float, b: float) -> Callable:
-    """The objective x -> a*f(x) + b, composed without rounding.
-
-    Finite values come back as ``Fraction``; a non-finite f(x) is passed
-    through unchanged so that the optimizer rejects it as it rejects any
-    non-finite objective value.
-    """
-    a, b = Fraction(a), Fraction(b)
-
-    def scaled(x):
-        y = objective(x)
-        if not isinstance(y, (Fraction, int)):
-            y = float(y)
-            if not math.isfinite(y):
-                return y
-        return a * Fraction(y) + b
-
-    return scaled
-
-
 def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
                       budget: int = 25, kernel: Optional[CorrelationKernel] = None,
                       estimator: str = "mle", epsilon: float = 0.1,
@@ -121,23 +102,19 @@ def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
 
     a and b may be floats or extended numerals (numeral strings accepted);
     a must be positive, and an extended a a single term, which is checked
-    before anything is evaluated.  Finite scalings compose a*f + b exactly
-    (see ``exact_affine``), so the scaled run sees the scaled values
-    themselves, not their float64 roundings; extended scalings run through
-    ``grossone.scaled_criterion_run``.
+    before anything is evaluated.  The base run is ``optimizer.run`` on f;
+    the scaled run is ``grossone.scaled_criterion_run`` for every scaling,
+    finite, infinite or infinitesimal, so the scaled values are never
+    rounded and the scaled trace is in the normalized frame.  The
+    comparison reads only grid indices and runner-up gaps.
     """
     a_num = grossone.positive_scale(a)
     b_num = grossone.as_numeral(b)
     kwargs = dict(budget=budget, kernel=kernel, estimator=estimator,
                   epsilon=epsilon, grid=grid, initial_design=initial_design)
     base = optimizer.run(algorithm, objective, lower, upper, **kwargs)
-    if a_num.is_finite and b_num.is_finite:
-        scaled = optimizer.run(algorithm,
-                               exact_affine(objective, a_num.to_real(), b_num.to_real()),
-                               lower, upper, **kwargs)
-    else:
-        scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num, lower, upper,
-                                                  algorithm=algorithm, **kwargs)
+    scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num, lower, upper,
+                                              algorithm=algorithm, **kwargs)
     return compare_traces(base, scaled, algorithm, a, b)
 
 

@@ -5,14 +5,16 @@ tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
 ``grossone.scaled_criterion_run``.
 
-The model sees only the exact normalization ``h = (y - y_0)/s`` of the
-values (``AffineNormalization``), rounded once, so runs on f and on
-``a*f + b`` with any a > 0 feed it bit-identical inputs; both criteria are
-strongly homogeneous, so this changes no choice in exact arithmetic.
-Traces report values in the objective's units: ``mu`` and ``y_on`` as
-``y_0 + s*v``, ``sigma2`` as ``s**2 * sigma2`` and the expected
-improvement as ``s * EI``; the improvement-probability criterion is scale
-free.
+Objective values are read by one rule, ``exact_value``, which keeps
+``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
+model sees only the exact normalization ``h = (y - y_0)/s`` of the values
+(``AffineNormalization``), rounded once, so runs on f and on ``a*f + b``
+with any a > 0 feed it bit-identical inputs; both criteria are strongly
+homogeneous, so this changes no choice in exact arithmetic.  Traces report
+values in the objective's units: ``mu`` and ``y_on`` as ``y_0 + s*v``,
+``sigma2`` as ``s**2 * sigma2`` and the expected improvement as
+``s * EI``, each rounded once (to +-inf beyond float64 range); the
+improvement-probability criterion is scale free.
 """
 
 from __future__ import annotations
@@ -213,9 +215,13 @@ def default_initial_design(lower, upper, count: int = 5) -> np.ndarray:
     return np.vstack([corners, center[None, :]])
 
 
-def _evaluate(objective: Callable, point: np.ndarray) -> Fraction:
-    """Objective value at point as an exact Fraction; non-finite values raise."""
-    value = objective(point if point.size > 1 else point[0])
+def exact_value(value, point) -> Fraction:
+    """An objective value as an exact Fraction: the one rule for reading one.
+
+    ``int`` and ``Fraction`` values are kept exactly, any other value is read
+    through ``float``.  A value that is not finite, or overflows float64,
+    raises ``ObjectiveEvaluationError``.
+    """
     try:
         as_float = float(value)
     except OverflowError:
@@ -247,9 +253,17 @@ class AffineNormalization:
         return diff if self.scale is None else diff / self.scale
 
     def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
-        """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once."""
+        """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
+
+        A result beyond float64 range rounds to +-inf, as IEEE rounding does.
+        """
         out = Fraction(v) * (self.scale or 1) ** power
-        return float(out + self.anchor if shifted else out)
+        if shifted:
+            out += self.anchor
+        try:
+            return float(out)
+        except OverflowError:
+            return math.inf if out > 0 else -math.inf
 
 
 def run(algorithm: str, objective: Callable, lower, upper,
@@ -287,7 +301,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
 
     def observe(point):
         nonlocal history, best
-        value = _evaluate(objective, point)
+        value = exact_value(objective(point if point.size > 1 else point[0]), point)
         best = min(best, value)
         h = float(normalize(value))
         if history is None:

@@ -138,6 +138,13 @@ class TestHomogeneity:
                  cli.EXIT_CONFIG, id="numeral-b-overflow"),
     pytest.param(["homogeneity", "--a=1e400*G", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-grade-overflow"),
+    # huge finite scalings: the scaled values are never rounded to float64
+    pytest.param(["homogeneity", "--a", "1e308", "--budget", "2"], None, cli.EXIT_OK,
+                 id="scale-huge"),
+    pytest.param(["homogeneity", "--algorithm", "ei", "--a", "1e308", "--budget", "2"],
+                 None, cli.EXIT_OK, id="scale-huge-ei"),
+    pytest.param(["homogeneity", "--a", "1.7e308", "--b=1.7e308", "--budget", "2"],
+                 None, cli.EXIT_OK, id="scaled-values-beyond-float64"),
 ])
 def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
     calls = []

@@ -139,6 +139,10 @@ class TestRunDirect:
         with pytest.raises(ObjectiveEvaluationError):
             direct1d.run_direct(lambda x: float("nan"), 0.0, 1.0, budget=1)
 
+    def test_value_beyond_float64_raises(self):
+        with pytest.raises(ObjectiveEvaluationError):
+            direct1d.run_direct(lambda x: 10 ** 400, 0.0, 1.0, budget=1)
+
     def test_counterexample_non_finite_root(self):
         with pytest.raises(ObjectiveEvaluationError):
             build_direct_counterexample(objective=lambda x: float("nan"))

@@ -12,9 +12,10 @@ other cell would change: a trace's ``iter``, ``grid_index`` or ``x0``, a
 header, or any byte of the files in ``FROZEN``.  It prints each file's
 largest relative float change.
 
-The extended-numeral runs pin their trace CSV, in the normalized frame
-the numeral run works in, and each step's certificate deviation in
-hexadecimal.
+The scaled runs (``scaled_run_*.csv``, the scaled side of a homogeneity
+check with a=3.9765, b=-7.3) and the extended-numeral runs pin their trace
+CSV in the normalized frame the scaled run works in; the numeral runs also
+pin each step's certificate deviation in hexadecimal.
 """
 
 import csv
@@ -28,7 +29,6 @@ import pytest
 
 from scaleopt import cli, optimizer
 from scaleopt.grossone import scaled_criterion_run
-from scaleopt.harness import exact_affine
 from scaleopt.objectives import gramacy_lee, sin3x2
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,8 +53,8 @@ def _run_case(algorithm, estimator, suffix):
 def _scaled_run_case(algorithm):
     # the scaled run of harness.homogeneity_check for a=3.9765, b=-7.3
     def produce():
-        trace = optimizer.run(algorithm, exact_affine(sin3x2, 3.9765, -7.3),
-                              [-1.0], [1.0], budget=25)
+        trace, _ = scaled_criterion_run(sin3x2, 3.9765, -7.3, [-1.0], [1.0],
+                                        budget=25, algorithm=algorithm)
         return trace.to_csv()
     return produce
 

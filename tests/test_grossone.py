@@ -199,6 +199,18 @@ class TestScaledCriterionRun:
             [r.criterion for r in base.records]
         assert [c.iteration for c in certs] == list(range(1, 16))
 
+    @pytest.mark.parametrize("algorithm", [opt.P_ALGORITHM, opt.ONE_STEP_BAYES])
+    def test_trace_does_not_depend_on_the_scaling(self, algorithm):
+        # the trace is in the normalized frame for every positive single-term a
+        def trace_csv(a, b):
+            trace, _ = scaled_criterion_run(sin3x2, a, b, [-1.0], [1.0], budget=25,
+                                            algorithm=algorithm)
+            return trace.to_csv()
+
+        reference = trace_csv(1, 0)
+        for a, b in ((3.9765, -7.3), (1e-8, 1e9), ("G", "G^2"), ("3*G^-2", "-7")):
+            assert trace_csv(a, b) == reference, (a, b)
+
     def test_squared_exponential_matches_base_bit_for_bit(self):
         kernel = CorrelationKernel("squared-exponential", 5.0)
         base = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=15,

@@ -7,7 +7,6 @@ import pytest
 
 from scaleopt import acquisition as acq
 from scaleopt import optimizer as opt
-from scaleopt.harness import exact_affine
 from scaleopt.errors import AllCandidatesDegenerateError, ObjectiveEvaluationError
 from scaleopt.gp import CorrelationKernel, EvaluationHistory, build_posterior
 from scaleopt.objectives import sin3x2
@@ -132,11 +131,19 @@ class TestRun:
             opt.run(opt.P_ALGORITHM, lambda x: math.inf, [-1.0], [1.0],
                     budget=1)
 
-    def test_non_finite_exact_composition_raises(self):
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ObjectiveEvaluationError):
-                opt.run(opt.P_ALGORITHM, exact_affine(lambda x: bad, 2.0, 1.0),
-                        [-1.0], [1.0], budget=1)
+    def test_trace_cells_beyond_float64_read_inf(self):
+        # s**2 * sigma2 for the exact values 1e200*sin3x2 lies beyond float64
+        # range and rounds to inf, as IEEE arithmetic would; the choices are
+        # unchanged
+        scale = Fraction(1e200)
+        base = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=10)
+        big = opt.run(opt.P_ALGORITHM, lambda x: scale * Fraction(sin3x2(x)),
+                      [-1.0], [1.0], budget=10)
+        assert big.grid_indices == base.grid_indices
+        steps = [r for r in big.records if r.iteration > 0]
+        assert all(r.sigma2 == math.inf and math.isfinite(r.mu) for r in steps)
+        assert ",inf," in big.to_csv()
+        assert '"sigma2": Infinity' in big.to_json()
 
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
     def test_exact_values_below_offset_resolution(self, estimator):
@@ -166,6 +173,26 @@ class TestRun:
         trace = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=10,
                         estimator="sample")
         assert len(trace.grid_indices) == 10
+
+
+class TestExactValue:
+    def test_int_and_fraction_kept_exactly(self):
+        assert opt.exact_value(2 ** 60 + 1, 0.0) == 2 ** 60 + 1
+        assert opt.exact_value(Fraction(1, 3), 0.0) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(2 ** 60 + 1),
+                                       np.array(0.1), 0.1],
+                             ids=["float32", "int64", "0-d array", "float"])
+    def test_other_values_read_through_float(self, value):
+        assert opt.exact_value(value, 0.0) == Fraction(float(value))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf"),
+                                       10 ** 400, Fraction(-(10 ** 400))],
+                             ids=["inf", "-inf", "nan", "float32 inf", "int 1e400",
+                                  "Fraction -1e400"])
+    def test_non_finite_or_overflowing_raises(self, value):
+        with pytest.raises(ObjectiveEvaluationError):
+            opt.exact_value(value, 0.0)
 
 
 class TestTraceSerialization:
