@@ -8,9 +8,12 @@ says which case and why, and rewrites the files with
     PYTHONPATH=src python tests/test_golden.py --write
 
 which may move float cells only.  It refuses, and writes nothing, if any
-other cell would change: a trace's ``iter``, ``grid_index`` or ``x0``, a
+other cell would change: a trace's ``iter``, ``grid_index``, ``x0`` or ``x1``, a
 header, or any byte of the files in ``FROZEN``.  It prints each file's
 largest relative float change.
+
+The 2-D runs (``run_2d_*.csv``) pin a P and an EI run of budget 30 on the
+default 101 x 101 grid over [0, 1]^2, on a seeded surface defined here.
 
 The scaled runs (``scaled_run_*.csv``, the scaled side of a homogeneity
 check with a=3.9765, b=-7.3) and the extended-numeral runs pin their trace
@@ -21,11 +24,14 @@ pin each step's certificate deviation in hexadecimal.
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+
+import numpy as np
 
 from scaleopt import cli, optimizer
 from scaleopt.grossone import scaled_criterion_run
@@ -56,6 +62,31 @@ def _scaled_run_case(algorithm):
         trace, _ = scaled_criterion_run(sin3x2, 3.9765, -7.3, [-1.0], [1.0],
                                         budget=25, algorithm=algorithm)
         return trace.to_csv()
+    return produce
+
+
+def _surface_2d():
+    """A seeded smooth surface on [0, 1]^2: three Gaussian wells and a ripple."""
+    rng = np.random.default_rng(2011)
+    centers = rng.uniform(0.1, 0.9, size=(3, 2)).tolist()
+    widths = rng.uniform(0.08, 0.25, size=3).tolist()
+    depths = rng.uniform(0.5, 2.0, size=3).tolist()
+
+    def surface(x):
+        value = 0.3 * x[0] - 0.2 * x[1] + 0.2 * math.sin(5.0 * x[0]) * math.cos(7.0 * x[1])
+        for (cx, cy), width, depth in zip(centers, widths, depths):
+            value -= depth * math.exp(-((x[0] - cx) ** 2 + (x[1] - cy) ** 2)
+                                      / (2.0 * width * width))
+        return value
+
+    return surface
+
+
+def _run_2d_case(algorithm):
+    # the default 101 x 101 grid and corners-plus-center design
+    def produce():
+        return optimizer.run(algorithm, _surface_2d(), [0.0, 0.0], [1.0, 1.0],
+                             budget=30).to_csv()
     return produce
 
 
@@ -92,6 +123,8 @@ CASES = {
     **{f"run_{alg}_{est}{suffix}": _run_case(alg, est, suffix)
        for alg in ("p", "ei") for est in ("mle", "sample")
        for suffix in (".csv", ".json")},
+    "run_2d_p.csv": _run_2d_case(optimizer.P_ALGORITHM),
+    "run_2d_ei.csv": _run_2d_case(optimizer.ONE_STEP_BAYES),
     "scaled_run_p.csv": _scaled_run_case(optimizer.P_ALGORITHM),
     "scaled_run_ei.csv": _scaled_run_case(optimizer.ONE_STEP_BAYES),
     "direct_demo_partition.json": _direct_demo_case("_partition.json"),
@@ -115,7 +148,7 @@ def test_every_golden_file_has_a_case():
 # columns, and the labels ``_cells`` gives headers and case names.
 FROZEN = {"direct_demo_partition.json", "direct_demo_trace.csv",
           "numeral_grid_indices.json"}
-EXACT_COLUMNS = {"iter", "grid_index", "x0", "header", "algorithm", "case"}
+EXACT_COLUMNS = {"iter", "grid_index", "x0", "x1", "header", "algorithm", "case"}
 
 
 def _cells(text):
