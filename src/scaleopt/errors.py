@@ -18,12 +18,12 @@ class IllConditionedModelError(ScaleoptError):
 
 
 class ObjectiveEvaluationError(ScaleoptError):
-    """The objective returned a non-finite value."""
+    """The objective returned a value that is not finite or, as is or normalized, overflows."""
 
     def __init__(self, point, value):
         self.point = point
         self.value = value
-        super().__init__(f"objective returned non-finite value {value!r} at {point!r}")
+        super().__init__(f"objective value {value!r} at {point!r} is not finite or overflows")
 
 
 class AllCandidatesDegenerateError(ScaleoptError):

@@ -6,13 +6,14 @@ two parameter estimators (sample moments and maximum likelihood).  Both
 estimators are affine equivariant: scaling the observed values by
 ``a*y + b`` maps the mean estimate to ``a*mu + b`` and the variance
 estimate to ``a**2 * sigma2``, which is what makes the acquisition
-criteria built on top of this module scale invariant.
+criteria built on top of this module scale invariant.  A run's
+``GridCorrelations`` appends one row of grid correlations per observation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -158,6 +159,30 @@ def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) ->
     return sigma
 
 
+class GridCorrelations:
+    """The correlations Upsilon of fixed (m, d) points with a growing history.
+
+    ``rows(history)`` computes each new history point's row once, and raises
+    ``ValueError`` for a history that does not extend the points seen so far.
+    """
+
+    def __init__(self, points: np.ndarray, kernel: CorrelationKernel):
+        self.points, self.kernel = points, kernel
+        self._seen, self._ups = points[:0], np.empty((0, len(points)))
+
+    def rows(self, history: EvaluationHistory) -> np.ndarray:
+        n, k = history.n, len(self._seen)
+        if not np.array_equal(history.points[:k], self._seen):
+            raise ValueError("history does not extend the points cached so far")
+        if n > len(self._ups):  # doubling keeps the copying O(m) per row
+            self._ups = np.resize(self._ups, (max(n, 2 * len(self._ups)), len(self.points)))
+        for i in range(k, n):
+            self._ups[i] = self.kernel.of_distance(
+                _cross_distances(history.points[i:i + 1], self.points))
+        self._seen = history.points.copy()
+        return self._ups[:n]
+
+
 def estimate_sample(history: EvaluationHistory) -> ModelParameters:
     """Plain sample mean and unbiased sample variance of the observed values."""
     y = history.values
@@ -197,11 +222,12 @@ class SurrogatePosterior:
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
-                 estimator: str = "mle"):
+                 estimator: str = "mle", grid_correlations: Optional[GridCorrelations] = None):
         if estimator not in ("mle", "sample"):
             raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
         self.kernel = kernel
+        self.grid_correlations = grid_correlations
         self._factor, self.jitter = _factor_with_jitter(correlation_matrix(history, kernel))
         y = history.values
         if estimator == "sample":
@@ -225,11 +251,13 @@ class SurrogatePosterior:
     def moments_grid(self, points: np.ndarray):
         """Vectorized conditional moments for an (m, d) array of query points.
 
-        Returns (means, variances, clamped_mask) as arrays of length m.
+        Returns (means, variances, clamped_mask) as arrays of length m.  The
+        correlations come from ``grid_correlations`` if ``points`` is its grid.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = _cross_distances(self.history.points, points)  # (n, m)
-        ups = self.kernel.of_distance(d)
+        cache = self.grid_correlations
+        if cache is None or points is not cache.points or cache.kernel != self.kernel:
+            cache = GridCorrelations(np.atleast_2d(np.asarray(points, dtype=float)), self.kernel)
+        ups = cache.rows(self.history)  # (n, m)
         means = self.parameters.mu + self._resid_weights @ ups
         raw = 1.0 - np.einsum("im,im->m", ups, cho_solve(self._factor, ups))
         sigma2 = self.parameters.sigma2
@@ -238,7 +266,7 @@ class SurrogatePosterior:
         return means, variances, clamped
 
 
-def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,
-                    estimator: str = "mle") -> SurrogatePosterior:
+def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel, estimator: str = "mle",
+                    grid_correlations: Optional[GridCorrelations] = None) -> SurrogatePosterior:
     """Estimate parameters and construct the posterior in one step."""
-    return SurrogatePosterior(history, kernel, estimator)
+    return SurrogatePosterior(history, kernel, estimator, grid_correlations)

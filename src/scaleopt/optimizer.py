@@ -3,12 +3,14 @@
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
-``grossone.scaled_criterion_run``.
+``grossone.scaled_criterion_run``; it keeps its visited mask and grid
+correlations (``gp.GridCorrelations``), O(m*d) to update per observation.
 
 Objective values are read by one rule, ``exact_value``, which keeps
 ``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
 model sees only the exact normalization ``h = (y - y_0)/s`` of the values
-(``AffineNormalization``), rounded once, so runs on f and on ``a*f + b``
+(``AffineNormalization``), rounded once (an h beyond float64 range is an
+``ObjectiveEvaluationError``), so runs on f and on ``a*f + b``
 with any a > 0 feed it bit-identical inputs; both criteria are strongly
 homogeneous, so this changes no choice in exact arithmetic.  Traces report
 values in the objective's units: ``mu`` and ``y_on`` as ``y_0 + s*v``,
@@ -35,8 +37,10 @@ from .errors import (
     ObjectiveEvaluationError,
 )
 from .gp import (
+    DUPLICATE_THRESHOLD,
     CorrelationKernel,
     EvaluationHistory,
+    GridCorrelations,
     SurrogatePosterior,
     build_posterior,
 )
@@ -105,16 +109,18 @@ def _relative_gap(best: float, second: float) -> float:
 
 
 def argmax_criterion(kind: str, posterior: SurrogatePosterior,
-                     asp: acq.AspirationLevel, grid: CandidateGrid) -> Selection:
+                     asp: acq.AspirationLevel, grid: CandidateGrid,
+                     visited: Optional[np.ndarray] = None) -> Selection:
     """Best candidate on the grid, lowest index on exact ties.
 
-    Candidates coinciding with history points are excluded; degenerate
+    Candidates coinciding with history points (the grid mask ``visited``, by
+    default ``posterior.history.visited``) are excluded; degenerate
     candidates rank below every non-degenerate one.
     """
     points = grid.points
     values, degenerate = acq.criterion_grid(kind, posterior, asp, points)
-    eligible = ~posterior.history.visited(points) & ~degenerate
-    return select_best(values, eligible, points)
+    visited = posterior.history.visited(points) if visited is None else visited
+    return select_best(values, ~visited & ~degenerate, points)
 
 
 def select_best(values: np.ndarray, eligible: np.ndarray,
@@ -298,16 +304,23 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     normalize = AffineNormalization()
     history = None
     best = math.inf
+    points = grid.points
+    correlations = GridCorrelations(points, kernel)
+    visited = np.zeros(len(points), dtype=bool)  # history.visited(points), kept by observe
 
     def observe(point):
         nonlocal history, best
         value = exact_value(objective(point if point.size > 1 else point[0]), point)
         best = min(best, value)
-        h = float(normalize(value))
+        try:
+            h = float(normalize(value))
+        except OverflowError:  # |y - y_0|/s beyond float64 range
+            raise ObjectiveEvaluationError(point, float(value)) from None
         if history is None:
             history = EvaluationHistory(lower, upper, point[None, :], [h])
         else:
             history = history.with_observation(point, h)
+        visited[np.abs(points - point).max(axis=1) <= DUPLICATE_THRESHOLD] = True
         return float(value), float(best)
 
     for point in initial_design:
@@ -316,21 +329,20 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
                                          None, best_f))
 
     for it in range(1, budget + 1):
-        posterior = build_posterior(history, kernel, estimator)
+        posterior = build_posterior(history, kernel, estimator, correlations)
         params = posterior.parameters
         mu = normalize.restore(params.mu, shifted=True)
         sigma2 = normalize.restore(params.sigma2, power=2)
         if params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu)):
             # Criterion undefined everywhere: take the lowest unvisited index.
-            points = grid.points
-            sel = select_best(np.zeros(len(points)), ~history.visited(points), points)
+            sel = select_best(np.zeros(len(points)), ~visited, points)
             value, best_f = observe(sel.point)
             trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, None,
                                              mu, sigma2, None, best_f,
                                              degenerate_step=True))
             continue
         asp = acq.aspiration(history, params, epsilon)
-        sel = argmax_criterion(kind, posterior, asp, grid)
+        sel = argmax_criterion(kind, posterior, asp, grid, visited)
         criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
         y_on = normalize.restore(asp.y_on, shifted=True)
         value, best_f = observe(sel.point)

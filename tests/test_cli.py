@@ -43,6 +43,14 @@ class TestRun:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_normalized_value_beyond_float64_exits_3(self, tmp_path, monkeypatch):
+        # y_0 = f(-1) = 0 and s = f(-0.5) = 1e-300, so h = 5e299/1e-300 at x = 0.5
+        overflowing = lambda x: {-1.0: 0.0, -0.5: 1e-300}.get(float(x), 1e300 * x)
+        monkeypatch.setitem(objectives.BUILTIN_OBJECTIVES, "sin3x2",
+                            (overflowing, (-1.0, 1.0)))
+        code = run_cli(["run", "--budget", "2", "--output", str(tmp_path / "t")])
+        assert code == cli.EXIT_NUMERICAL
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"objective": "sin3x2", "budget": 3}))

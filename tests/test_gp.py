@@ -11,6 +11,7 @@ from scaleopt.errors import DuplicatePointsError, InsufficientDataError
 from scaleopt.gp import (
     CorrelationKernel,
     EvaluationHistory,
+    GridCorrelations,
     build_posterior,
     correlation_matrix,
     estimate_mle,
@@ -237,3 +238,65 @@ class TestConditionalMoments:
             m, s2, _ = posterior.conditional_moments(x)
             assert means[k] == pytest.approx(m, rel=1e-12, abs=1e-15)
             assert variances[k] == pytest.approx(s2, rel=1e-12, abs=1e-15)
+
+
+class TestGridCorrelations:
+    """The appended rows are bit-identical to the full build."""
+
+    KERNELS = [CorrelationKernel("exponential", 5.0),
+               CorrelationKernel("squared-exponential", 5.0)]
+
+    @staticmethod
+    def histories(rng, n, d):
+        points, values = oracles.random_history(rng, n, d)
+        return [EvaluationHistory([0.0] * d, [1.0] * d, points[:k], values[:k])
+                for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_equal_full_build(self, kernel, d):
+        rng = np.random.default_rng(3)
+        grid = rng.uniform(0, 1, size=(300, d))
+        cache = GridCorrelations(grid, kernel)
+        for step, history in enumerate(self.histories(rng, 12, d)):
+            if step % 3 == 2:
+                continue  # some steps add no row, the next adds two
+            full = kernel.of_distance(gp._cross_distances(history.points, grid))
+            assert np.array_equal(cache.rows(history), full)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    def test_moments_identical_with_and_without_cache(self, kernel, estimator):
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(0, 1, size=(400, 2))
+        cache = GridCorrelations(grid, kernel)
+        for history in self.histories(rng, 10, 2)[1:]:
+            cached = build_posterior(history, kernel, estimator, cache).moments_grid(grid)
+            plain = build_posterior(history, kernel, estimator).moments_grid(grid)
+            for a, b in zip(cached, plain):
+                assert np.array_equal(a, b)
+
+    def test_used_only_for_its_grid_and_kernel(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        grid = rng.uniform(0, 1, size=(50, 1))
+        history = self.histories(rng, 4, 1)[-1]
+        cache = GridCorrelations(grid, KERNEL)
+        monkeypatch.setattr(cache, "rows", lambda history: pytest.fail("cache used"))
+        other = CorrelationKernel("exponential", 2.0)
+        build_posterior(history, other, "mle", cache).moments_grid(grid)
+        build_posterior(history, KERNEL, "mle", cache).moments_grid(grid.copy())
+
+    def test_history_that_does_not_extend_the_cache_is_rejected(self):
+        rng = np.random.default_rng(13)
+        grid = rng.uniform(0, 1, size=(50, 1))
+        short, longer = self.histories(rng, 4, 1)[1:4:2]
+        cache = GridCorrelations(grid, KERNEL)
+        before = cache.rows(longer).copy()
+        with pytest.raises(ValueError):
+            cache.rows(short)  # fewer points than cached
+        moved = EvaluationHistory([0.0], [1.0], longer.points[::-1], longer.values)
+        with pytest.raises(ValueError):
+            cache.rows(moved)  # same count, another prefix
+        # a rejected history leaves the cache as it was
+        extended = cache.rows(longer.with_observation([0.999], 1.0))
+        assert extended.shape == (5, 50) and np.array_equal(extended[:4], before)

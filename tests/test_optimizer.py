@@ -175,6 +175,79 @@ class TestRun:
         assert len(trace.grid_indices) == 10
 
 
+def overflowing(x):
+    """0 at -1, 1e-300 at -0.5, 1e300*x elsewhere: with y_0 = 0 and s = 1e-300
+    the normalized value of the design point 0.5 lies beyond float64 range."""
+    x = float(np.atleast_1d(x)[0])
+    return {-1.0: 0.0, -0.5: 1e-300}.get(x, 1e300 * x)
+
+
+class TestNormalizedOverflow:
+    def test_raises_objective_evaluation_error(self):
+        with pytest.raises(ObjectiveEvaluationError) as info:
+            opt.run(opt.P_ALGORITHM, overflowing, [-1.0], [1.0], budget=2,
+                    initial_design=np.array([[-1.0], [-0.5], [0.5]]))
+        assert info.value.point[0] == 0.5
+
+
+class TestVisitedMask:
+    """The run's mask is ``history.visited(grid.points)``, the defining rule."""
+
+    @staticmethod
+    def checked_run(monkeypatch, *args, **kwargs):
+        # Every argmax gets the mask after the observations so far: the design
+        # and each step but the last.
+        argmax, checks = opt.argmax_criterion, []
+
+        def checking(kind, posterior, asp, grid, visited=None):
+            expected = posterior.history.visited(grid.points)
+            np.testing.assert_array_equal(visited, expected)
+            checks.append(int(expected.sum()))
+            return argmax(kind, posterior, asp, grid, visited)
+
+        monkeypatch.setattr(opt, "argmax_criterion", checking)
+        return opt.run(*args, **kwargs), checks
+
+    @pytest.mark.parametrize("algorithm", [opt.P_ALGORITHM, opt.ONE_STEP_BAYES])
+    def test_1d_run(self, monkeypatch, algorithm):
+        trace, checks = self.checked_run(monkeypatch, algorithm, sin3x2, [-1.0], [1.0],
+                                         budget=15)
+        assert checks == list(range(5, 20))
+        assert len(set(trace.grid_indices)) == 15
+
+    def test_2d_run_with_off_grid_design(self, monkeypatch):
+        # (0.5 + 4e-13, 0.5) is off the grid but within the threshold of the
+        # grid point (0.5, 0.5); (0, 1) is a grid point; the other three are
+        # off the grid and far from it.
+        design = np.array([[0.013, 0.021], [0.987, 0.5], [0.5 + 4e-13, 0.5],
+                           [0.3337, 0.777], [0.0, 1.0]])
+        surface = lambda x: math.sin(5.0 * x[0]) * math.cos(7.0 * x[1]) + x[0] ** 2
+        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM, surface,
+                                     [0.0, 0.0], [1.0, 1.0], budget=12,
+                                     initial_design=design)
+        assert checks == list(range(2, 14))
+
+    def test_grid_finer_than_threshold(self, monkeypatch):
+        # Spacing 5e-13: a chosen point also marks its neighbours within 1e-12,
+        # which marking the chosen index alone would miss.
+        grid = opt.CandidateGrid([0.0], [1e-9], 2001)
+        design = np.array([[0.0], [5e-10], [1e-9]])
+        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM,
+                                     lambda x: math.sin(3e9 * x), [0.0], [1e-9],
+                                     budget=8, grid=grid, initial_design=design)
+        assert len(checks) == 8 and checks[1] - checks[0] > 1
+
+    def test_zero_spread_fallback_takes_lowest_unvisited_index(self):
+        # Grid 0, 0.1, ..., 1: indices 0 and 1 are visited (1 by a point 5e-13
+        # away), 0.35 lies off the grid; every step falls back.
+        grid = opt.CandidateGrid([0.0], [1.0], 11)
+        design = np.array([[0.0], [0.1 + 5e-13], [0.35]])
+        trace = opt.run(opt.P_ALGORITHM, lambda x: 4.0, [0.0], [1.0], budget=4,
+                        grid=grid, initial_design=design)
+        assert all(r.degenerate_step for r in trace.records if r.iteration > 0)
+        assert trace.grid_indices == [2, 3, 4, 5]
+
+
 class TestExactValue:
     def test_int_and_fraction_kept_exactly(self):
         assert opt.exact_value(2 ** 60 + 1, 0.0) == 2 ** 60 + 1
