@@ -5,6 +5,9 @@ not invariant under adding a constant to the objective: for a suitable
 interval j the returned shift threshold ``delta_f`` guarantees that any
 translation larger than ``delta_f / eps`` removes j from the set of
 potentially optimal intervals.
+
+A partition is immutable: its half-lengths, midpoint values and f_min are
+built once, as read-only float64 arrays, and every test of it reads them.
 """
 
 from __future__ import annotations
@@ -51,26 +54,35 @@ class Interval:
         return 0.5 * (self.b - self.a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectPartition:
-    intervals: list
+    """Intervals in partition order; immutable, its arrays built once."""
+
+    intervals: tuple
     epsilon: float = DEFAULT_EPSILON
+    f_min: float = field(init=False)
+    _deltas: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not self.intervals:
+        intervals = tuple(self.intervals)
+        if not intervals:
             raise ValueError("partition must contain at least one interval")
-
-    @property
-    def f_min(self) -> float:
-        return min(iv.fc for iv in self.intervals)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "f_min", min(iv.fc for iv in intervals))
+        for name, column in (("_deltas", [iv.delta for iv in intervals]),
+                             ("_values", [iv.fc for iv in intervals])):
+            array = np.array(column, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def deltas(self) -> np.ndarray:
-        return np.array([iv.delta for iv in self.intervals])
+        return self._deltas
 
     def values(self) -> np.ndarray:
-        return np.array([iv.fc for iv in self.intervals])
+        return self._values
 
     def to_json(self) -> str:
         return json.dumps({
@@ -186,13 +198,10 @@ class DirectTrace:
 
 def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> DirectPartition:
     """Trisect the chosen intervals, keeping the order of the partition."""
-    new_intervals = []
-    for idx, iv in enumerate(partition.intervals):
-        if idx in chosen:
-            new_intervals.extend(trisect(iv, objective))
-        else:
-            new_intervals.append(iv)
-    return DirectPartition(new_intervals, partition.epsilon)
+    chosen = set(chosen)
+    return DirectPartition([part for idx, iv in enumerate(partition.intervals)
+                            for part in (trisect(iv, objective) if idx in chosen else [iv])],
+                           partition.epsilon)
 
 
 def direct_iterations(objective: Callable, lower: float, upper: float,

@@ -48,7 +48,8 @@ class ExtendedNumeral:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        canonical = {int(g): Fraction(c) for g, c in (terms or {}).items()}
+        canonical = {int(g): c if isinstance(c, Fraction) else Fraction(c)
+                     for g, c in (terms or {}).items()}
         object.__setattr__(self, "terms", {g: c for g, c in canonical.items() if c})
 
     def __setattr__(self, name, value):

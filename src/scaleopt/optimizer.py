@@ -262,14 +262,18 @@ class AffineNormalization:
         """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
 
         A result beyond float64 range rounds to +-inf, as IEEE rounding does.
+        The one ``int / int`` rounds correctly, as ``float(Fraction)`` does.
         """
-        out = Fraction(v) * (self.scale or 1) ** power
+        num, den = v.as_integer_ratio()
+        scale = self.scale or 1
+        num, den = num * scale.numerator ** power, den * scale.denominator ** power
         if shifted:
-            out += self.anchor
+            num = num * self.anchor.denominator + self.anchor.numerator * den
+            den *= self.anchor.denominator
         try:
-            return float(out)
+            return num / den
         except OverflowError:
-            return math.inf if out > 0 else -math.inf
+            return math.inf if num > 0 else -math.inf
 
 
 def run(algorithm: str, objective: Callable, lower, upper,

@@ -8,6 +8,7 @@ import oracles
 from scaleopt import direct1d
 from scaleopt.errors import ObjectiveEvaluationError, PreconditionError
 from scaleopt.harness import build_direct_counterexample, direct_homogeneity_check
+from scaleopt.objectives import get_objective
 
 
 def partition_from(deltas, values, epsilon):
@@ -52,6 +53,43 @@ class TestPotentiallyOptimal:
         p = partition_from([0.5], [3.0], 1e-4)
         with pytest.raises(IndexError):
             direct1d.potentially_optimal(p, 3)
+
+
+class TestCachedPartition:
+    """A partition builds its arrays once, from its intervals, read-only."""
+
+    def partition(self):
+        objective, (lower, upper) = get_objective("rastrigin1d")
+        return direct1d.run_direct(objective, lower, upper, budget=8)[0]
+
+    def test_arrays_equal_a_rebuild(self):
+        p = self.partition()
+        assert np.array_equal(p.deltas(), np.array([iv.delta for iv in p.intervals]))
+        assert np.array_equal(p.values(), np.array([iv.fc for iv in p.intervals]))
+        assert p.deltas().dtype == p.values().dtype == np.float64
+        assert p.f_min == min(iv.fc for iv in p.intervals)
+
+    def test_arrays_are_read_only(self):
+        p = self.partition()
+        for array in (p.deltas(), p.values()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_intervals_cannot_be_reassigned(self):
+        p = self.partition()
+        assert isinstance(p.intervals, tuple)
+        with pytest.raises(AttributeError):
+            p.intervals = p.intervals[:1]
+
+    def test_arrays_built_once(self):
+        p = self.partition()
+        assert p.deltas() is p.deltas() and p.values() is p.values()
+
+    def test_built_from_a_non_tiling_list(self):
+        intervals = [direct1d.Interval(0.0, 1.0, 2.0), direct1d.Interval(5.0, 5.5, 1.0)]
+        p = direct1d.DirectPartition(intervals, 1e-4)
+        assert p.intervals == tuple(intervals)
+        assert p.deltas().tolist() == [0.5, 0.25] and p.f_min == 1.0
 
 
 class TestCounterexampleShift:

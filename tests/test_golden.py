@@ -15,6 +15,10 @@ largest relative float change.
 The 2-D runs (``run_2d_*.csv``) pin a P and an EI run of budget 30 on the
 default 101 x 101 grid over [0, 1]^2, on a seeded surface defined here.
 
+The DIRECT runs (``direct_<objective>_trace.csv``) pin ``run_direct``'s
+trace on ``rastrigin1d`` at budget 24 (1,673 intervals) and on ``sin3x2`` at
+budget 40 (387 intervals), each over its default region.
+
 The scaled runs (``scaled_run_*.csv``, the scaled side of a homogeneity
 check with a=3.9765, b=-7.3) and the extended-numeral runs pin their trace
 CSV in the normalized frame the scaled run works in; the numeral runs also
@@ -33,9 +37,9 @@ import pytest
 
 import numpy as np
 
-from scaleopt import cli, optimizer
+from scaleopt import cli, direct1d, optimizer
 from scaleopt.grossone import scaled_criterion_run
-from scaleopt.objectives import gramacy_lee, sin3x2
+from scaleopt.objectives import get_objective, gramacy_lee, sin3x2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,6 +94,14 @@ def _run_2d_case(algorithm):
     return produce
 
 
+def _direct_run_case(name, budget):
+    # run_direct on a built-in objective over its default region
+    def produce():
+        objective, (lower, upper) = get_objective(name)
+        return direct1d.run_direct(objective, lower, upper, budget=budget)[1].to_csv()
+    return produce
+
+
 def _direct_demo_case(suffix):
     def produce():
         return _cli_outputs(["direct-demo"], [suffix])[0]
@@ -129,6 +141,8 @@ CASES = {
     "scaled_run_ei.csv": _scaled_run_case(optimizer.ONE_STEP_BAYES),
     "direct_demo_partition.json": _direct_demo_case("_partition.json"),
     "direct_demo_trace.csv": _direct_demo_case("_trace.csv"),
+    "direct_rastrigin1d_trace.csv": _direct_run_case("rastrigin1d", 24),
+    "direct_sin3x2_trace.csv": _direct_run_case("sin3x2", 40),
     "numeral_grid_indices.json": _numeral_indices,
     "numeral_runs.json": _numeral_runs,
 }
@@ -147,6 +161,7 @@ def test_every_golden_file_has_a_case():
 # Files that no rewrite may change, and the cells that must not move: trace
 # columns, and the labels ``_cells`` gives headers and case names.
 FROZEN = {"direct_demo_partition.json", "direct_demo_trace.csv",
+          "direct_rastrigin1d_trace.csv", "direct_sin3x2_trace.csv",
           "numeral_grid_indices.json"}
 EXACT_COLUMNS = {"iter", "grid_index", "x0", "x1", "header", "algorithm", "case"}
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scaleopt import acquisition as acq
 from scaleopt import optimizer as opt
@@ -266,6 +268,44 @@ class TestExactValue:
     def test_non_finite_or_overflowing_raises(self, value):
         with pytest.raises(ObjectiveEvaluationError):
             opt.exact_value(value, 0.0)
+
+
+def restore_by_fraction(normalize, v, power, shifted):
+    """``AffineNormalization.restore``'s defining formula, in ``Fraction``s."""
+    out = Fraction(v) * (normalize.scale or 1) ** power
+    if shifted:
+        out += normalize.anchor
+    try:
+        return float(out)
+    except OverflowError:
+        return math.inf if out > 0 else -math.inf
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRestore:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(finite, min_size=1, max_size=3), v=finite,
+           power=st.sampled_from((1, 2)), shifted=st.booleans())
+    @example(values=[0.0, 1e300], v=1e300, power=2, shifted=False)
+    @example(values=[0.0, 1e300], v=-1e300, power=2, shifted=True)
+    @example(values=[5e-324, 0.0], v=0.1, power=2, shifted=False)
+    @example(values=[-3.5, 2.0], v=np.float64(-0.0), power=1, shifted=False)
+    def test_matches_fraction_formula(self, values, v, power, shifted):
+        normalize = opt.AffineNormalization()
+        for y in values:
+            normalize(Fraction(y))
+        got = normalize.restore(v, power, shifted)
+        want = restore_by_fraction(normalize, v, power, shifted)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_overflow_rounds_to_infinity(self):
+        normalize = opt.AffineNormalization()
+        normalize(Fraction(0))
+        normalize(Fraction(1e300))
+        assert normalize.restore(1e300, power=2) == math.inf
+        assert normalize.restore(-1e300, power=2, shifted=True) == -math.inf
 
 
 class TestTraceSerialization:
