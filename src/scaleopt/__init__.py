@@ -1,14 +1,7 @@
 """Global optimization with Gaussian surrogates, 1-D DIRECT, and an
 affine-scaling comparison harness with extended-numeral support."""
 
-from .acquisition import (
-    AspirationLevel,
-    CriterionValue,
-    aspiration,
-    expected_improvement,
-    normal_cdf,
-    p_criterion,
-)
+from .acquisition import AspirationLevel, aspiration, normal_cdf
 from .direct1d import (
     DirectPartition,
     Interval,

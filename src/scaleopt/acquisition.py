@@ -38,13 +38,6 @@ class AspirationLevel:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
-class CriterionValue:
-    kind: str
-    value: float
-    degenerate: bool = False
-
-
 def aspiration(history: EvaluationHistory, parameters: ModelParameters,
                epsilon: float = 0.1) -> AspirationLevel:
     """Aspiration level min_i y_i - epsilon * sigma-hat."""
@@ -54,35 +47,12 @@ def aspiration(history: EvaluationHistory, parameters: ModelParameters,
 
 def normal_cdf(t):
     """Standard normal cumulative distribution function."""
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return 0.5 * math.erfc(-float(t) / _SQRT2)
     return 0.5 * erfc(-np.asarray(t, dtype=float) / _SQRT2)
 
 
 def normal_pdf(t):
     t = np.asarray(t, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * t * t)
-
-
-def _criterion_at(kind: str, posterior: SurrogatePosterior, asp: AspirationLevel,
-                  x) -> CriterionValue:
-    """``criterion_grid`` at the single point x."""
-    point = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    values, degenerate = criterion_grid(kind, posterior, asp, point)
-    # A known point is degenerate too: re-evaluation cannot improve.
-    known = bool(degenerate[0] or posterior.history.visited(point)[0])
-    value = -math.inf if known and kind == P_CRITERION else float(values[0])
-    return CriterionValue(kind, value, degenerate=known)
-
-
-def p_criterion(posterior: SurrogatePosterior, asp: AspirationLevel, x) -> CriterionValue:
-    """Improvement-probability statistic at a single point."""
-    return _criterion_at(P_CRITERION, posterior, asp, x)
-
-
-def expected_improvement(posterior: SurrogatePosterior, asp: AspirationLevel, x) -> CriterionValue:
-    """Expected improvement over the aspiration level at a single point."""
-    return _criterion_at(EXPECTED_IMPROVEMENT, posterior, asp, x)
 
 
 def ei_closed_form(m, s, y_on):

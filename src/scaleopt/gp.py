@@ -126,11 +126,10 @@ class CorrelationKernel:
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Estimated prior mean and variance, tagged with the estimator used."""
+    """Estimated prior mean and variance."""
 
     mu: float
     sigma2: float
-    estimator_tag: str
 
     def __post_init__(self):
         if self.sigma2 < 0:
@@ -188,7 +187,7 @@ def estimate_sample(history: EvaluationHistory) -> ModelParameters:
     y = history.values
     if y.size < 2:
         raise InsufficientDataError("sample variance needs at least two observations")
-    return ModelParameters(float(y.mean()), float(y.var(ddof=1)), "sample")
+    return ModelParameters(float(y.mean()), float(y.var(ddof=1)))
 
 
 def _factor_with_jitter(sigma: np.ndarray):
@@ -241,7 +240,7 @@ class SurrogatePosterior:
         self._resid_weights = cho_solve(self._factor, y - mu)
         if estimator == "mle":
             sigma2 = float((y - mu) @ self._resid_weights) / y.size
-            self.parameters = ModelParameters(mu, max(sigma2, 0.0), "mle")
+            self.parameters = ModelParameters(mu, max(sigma2, 0.0))
 
     def conditional_moments(self, x) -> Moments:
         """Conditional mean and variance of the model at x."""

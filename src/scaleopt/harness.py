@@ -21,10 +21,6 @@ from . import direct1d, grossone, optimizer
 from .errors import ConfigError
 from .gp import CorrelationKernel
 
-# Steps whose top-two criterion values are closer than this (relative)
-# count as ties rather than mismatches.
-NEAR_TIE_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class StepComparison:
@@ -32,7 +28,7 @@ class StepComparison:
     index_base: int
     index_scaled: int
     match: bool
-    near_tie: bool
+    near_tie: bool  # always False: any divergence is a mismatch
 
 
 @dataclass
@@ -41,28 +37,24 @@ class ComparisonReport:
     a: object
     b: object
     steps: list = field(default_factory=list)
-    diverged_at_tie: Optional[int] = None  # iteration of benign divergence
 
     @property
     def passed(self) -> bool:
-        return all(s.match or s.near_tie for s in self.steps)
+        return all(s.match for s in self.steps)
 
     @property
     def first_mismatch(self) -> Optional[int]:
         for s in self.steps:
-            if not (s.match or s.near_tie):
+            if not s.match:
                 return s.iteration
         return None
 
     def summary_lines(self):
         lines = []
         for s in self.steps:
-            tag = "match" if s.match else ("tie" if s.near_tie else "MISMATCH")
+            tag = "match" if s.match else "MISMATCH"
             lines.append(f"step {s.iteration}: base={s.index_base} "
                          f"scaled={s.index_scaled} {tag}")
-        if self.diverged_at_tie is not None:
-            lines.append(f"runs diverged at a near-tie on step "
-                         f"{self.diverged_at_tie}; later steps not comparable")
         lines.append("PASS" if self.passed else "FAIL")
         return lines
 
@@ -74,23 +66,17 @@ def _step_records(trace):
 def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
     """Step-by-step grid-index comparison of two optimization traces.
 
-    After the first divergence the two histories differ, so later steps
-    carry no information: a divergence at a near-tie ends the comparison
-    benignly, a hard divergence is a failure.
+    Both runs feed the model bit-identical values, so any divergence is a
+    failure.  After it the two histories differ and later steps carry no
+    information, so the comparison ends there.
     """
     report = ComparisonReport(algorithm, a, b)
     for rb, rs in zip(_step_records(base), _step_records(scaled)):
-        if rb.grid_index == rs.grid_index:
-            report.steps.append(StepComparison(rb.iteration, rb.grid_index,
-                                               rs.grid_index, True, False))
-            continue
-        gaps = [g for g in (rb.near_tie_gap, rs.near_tie_gap) if g is not None]
-        near = bool(gaps) and min(gaps) < NEAR_TIE_REL
+        match = rb.grid_index == rs.grid_index
         report.steps.append(StepComparison(rb.iteration, rb.grid_index,
-                                           rs.grid_index, False, near))
-        if near:
-            report.diverged_at_tie = rb.iteration
-        break
+                                           rs.grid_index, match, False))
+        if not match:
+            break
     return report
 
 
@@ -106,7 +92,7 @@ def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
     the scaled run is ``grossone.scaled_criterion_run`` for every scaling,
     finite, infinite or infinitesimal, so the scaled values are never
     rounded and the scaled trace is in the normalized frame.  The
-    comparison reads only grid indices and runner-up gaps.
+    comparison reads only grid indices.
     """
     a_num = grossone.positive_scale(a)
     b_num = grossone.as_numeral(b)

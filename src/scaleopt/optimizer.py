@@ -110,16 +110,14 @@ def _relative_gap(best: float, second: float) -> float:
 
 def argmax_criterion(kind: str, posterior: SurrogatePosterior,
                      asp: acq.AspirationLevel, grid: CandidateGrid,
-                     visited: Optional[np.ndarray] = None) -> Selection:
+                     visited: np.ndarray) -> Selection:
     """Best candidate on the grid, lowest index on exact ties.
 
-    Candidates coinciding with history points (the grid mask ``visited``, by
-    default ``posterior.history.visited``) are excluded; degenerate
-    candidates rank below every non-degenerate one.
+    Candidates coinciding with history points (the grid mask ``visited``)
+    are excluded; degenerate candidates rank below every non-degenerate one.
     """
     points = grid.points
     values, degenerate = acq.criterion_grid(kind, posterior, asp, points)
-    visited = posterior.history.visited(points) if visited is None else visited
     return select_best(values, ~visited & ~degenerate, points)
 
 
@@ -149,7 +147,6 @@ class TraceRecord:
     sigma2: Optional[float]
     y_on: Optional[float]
     best: float
-    near_tie_gap: Optional[float] = None
     degenerate_step: bool = False
 
 
@@ -293,10 +290,15 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
 
     It owns the design, the normalization, the model, the zero-spread
     fallback, the aspiration level, the criterion argmax, the evaluations
-    and the records.
+    and the records.  A negative budget or an epsilon that is not positive
+    raises ``ValueError`` before anything is evaluated.
     """
     if algorithm not in _CRITERION_OF:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     kind = _CRITERION_OF[algorithm]
     kernel = kernel or CorrelationKernel()
     grid = grid or CandidateGrid.for_region(lower, upper)
@@ -351,6 +353,5 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         y_on = normalize.restore(asp.y_on, shifted=True)
         value, best_f = observe(sel.point)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value,
-                                         criterion, mu, sigma2, y_on, best_f,
-                                         near_tie_gap=sel.runner_up_gap))
+                                         criterion, mu, sigma2, y_on, best_f))
     return trace

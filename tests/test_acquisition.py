@@ -54,14 +54,14 @@ class TestAspiration:
     def test_two_point_hand_value(self):
         h = EvaluationHistory([0.0], [1.0], [[0.1], [0.9]], [0.0, 2.0])
         from scaleopt.gp import ModelParameters
-        params = ModelParameters(1.0, 2.0, "sample")
+        params = ModelParameters(1.0, 2.0)
         asp = acq.aspiration(h, params, 0.1)
         assert asp.y_on == pytest.approx(-0.1 * math.sqrt(2.0))
 
     def test_zero_spread(self):
         h = EvaluationHistory([0.0], [1.0], [[0.1], [0.9]], [3.0, 3.0])
         from scaleopt.gp import ModelParameters
-        params = ModelParameters(3.0, 0.0, "sample")
+        params = ModelParameters(3.0, 0.0)
         asp = acq.aspiration(h, params, 0.1)
         assert asp.y_on == 3.0
 
@@ -83,35 +83,30 @@ class TestAspiration:
 
 
 class TestPCriterion:
-    def test_degenerate_at_history_point(self):
-        posterior = build_posterior(fig1_history(), KERNEL)
-        asp = acq.aspiration(fig1_history(), posterior.parameters, 0.1)
-        out = acq.p_criterion(posterior, asp, [0.5])
-        assert out.degenerate
-        assert out.value == -math.inf
+    def test_history_points_rank_below_unvisited(self):
+        # Re-evaluating a known point cannot improve: under either criterion
+        # each history point is degenerate or valued below every unvisited one.
+        history = fig1_history()
+        posterior = build_posterior(history, KERNEL)
+        asp = acq.aspiration(history, posterior.parameters, 0.1)
+        xs = np.linspace(0, 1, 1001)[:, None]
+        known = history.visited(xs)
+        assert known.sum() == len(FIG1_POINTS)
+        for kind in (acq.P_CRITERION, acq.EXPECTED_IMPROVEMENT):
+            values, degenerate = acq.criterion_grid(kind, posterior, asp, xs)
+            assert not degenerate[~known].any()
+            floor = values[~known].min()
+            assert all(d or v < floor
+                       for v, d in zip(values[known], degenerate[known]))
 
     def test_centered_case_zero(self):
         posterior = build_posterior(fig1_history(), KERNEL)
         m, s2, _ = posterior.conditional_moments([0.35])
         asp = acq.AspirationLevel(m, 0.1)
-        out = acq.p_criterion(posterior, asp, [0.35])
-        assert not out.degenerate
-        assert out.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_point_is_grid_value(self):
-        history = fig1_history()
-        posterior = build_posterior(history, KERNEL)
-        asp = acq.aspiration(history, posterior.parameters, 0.1)
-        xs = np.linspace(0, 1, 11)[:, None]
-        for kind, at_point in ((acq.P_CRITERION, acq.p_criterion),
-                               (acq.EXPECTED_IMPROVEMENT, acq.expected_improvement)):
-            values, _ = acq.criterion_grid(kind, posterior, asp, xs)
-            known = history.visited(xs)
-            for x, value, is_known in zip(xs, values, known):
-                out = at_point(posterior, asp, x)
-                assert out.degenerate == is_known
-                if not is_known:
-                    assert out.value == value
+        values, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, asp,
+                                                np.array([[0.35]]))
+        assert not degenerate[0]
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_fig1_scaled_curve_coincides(self):
         a, b = 3.9765, 3.1804
@@ -183,7 +178,8 @@ class TestExpectedImprovement:
     def test_degenerate_uses_deterministic_limit(self):
         posterior = build_posterior(fig1_history(), KERNEL)
         asp = acq.AspirationLevel(-0.5, 0.1)
-        out = acq.expected_improvement(posterior, asp, [0.2])
-        assert out.degenerate
+        values, degenerate = acq.criterion_grid(acq.EXPECTED_IMPROVEMENT, posterior,
+                                                asp, np.array([[0.2]]))
+        assert degenerate[0]
         # history value at 0.2 is -0.9 < y_on, improvement is certain
-        assert out.value == pytest.approx(-0.5 - (-0.9), rel=1e-9)
+        assert values[0] == pytest.approx(-0.5 - (-0.9), rel=1e-9)

@@ -139,6 +139,14 @@ class TestHomogeneity:
                  id="scale-zero"),
     pytest.param(["homogeneity", "--a", "G+1", "--budget", "2"], None, cli.EXIT_CONFIG,
                  id="scale-two-terms"),
+    # a negative budget and a nonpositive epsilon are rejected before any
+    # evaluation
+    pytest.param(["run", "--epsilon", "0"], None, cli.EXIT_CONFIG, id="run-epsilon-zero"),
+    pytest.param(["homogeneity", "--epsilon=-1"], None, cli.EXIT_CONFIG,
+                 id="homogeneity-epsilon-negative"),
+    pytest.param(["run", "--budget=-3"], None, cli.EXIT_CONFIG, id="run-budget-negative"),
+    pytest.param(["homogeneity", "--budget=-3"], None, cli.EXIT_CONFIG,
+                 id="homogeneity-budget-negative"),
     # numeral literals must fit in float64
     pytest.param(["homogeneity", "--a", "1e400", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-a-overflow"),

@@ -147,7 +147,6 @@ class TestPosteriorFactor:
         monkeypatch.setattr(gp, "cho_factor", counting)
         posterior = build_posterior(fig1_history(), KERNEL, estimator)
         assert len(calls) == 1
-        assert posterior.parameters.estimator_tag == estimator
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):

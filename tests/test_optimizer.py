@@ -54,10 +54,10 @@ class TestArgmax:
         posterior = self._posterior()
         asp = acq.aspiration(posterior.history, posterior.parameters, 0.1)
         grid = opt.CandidateGrid.for_region([0.0], [1.0], 101)
-        sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
+        visited = posterior.history.visited(grid.points)
+        sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid, visited)
         values, deg = acq.criterion_grid(acq.P_CRITERION, posterior, asp,
                                          grid.points)
-        visited = posterior.history.visited(grid.points)
         masked = np.where(~visited & ~deg, values, -np.inf)
         assert sel.grid_index == int(np.argmax(masked))
         assert not visited[sel.grid_index]
@@ -74,7 +74,8 @@ class TestArgmax:
                     np.zeros(5, dtype=bool))
 
         monkeypatch.setattr(acq, "criterion_grid", fixed_values)
-        sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
+        sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid,
+                                   posterior.history.visited(grid.points))
         assert sel.grid_index == 1
         assert sel.runner_up_gap == 0.0
 
@@ -84,7 +85,8 @@ class TestArgmax:
         asp = acq.aspiration(h, posterior.parameters, 0.1)
         grid = opt.CandidateGrid(np.array([0.0]), np.array([1.0]), 2)
         with pytest.raises(AllCandidatesDegenerateError):
-            opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid)
+            opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid,
+                                 posterior.history.visited(grid.points))
 
 
 class TestRun:

@@ -4,6 +4,9 @@ A leading underscore marks a name as internal to its module or object, so
 ``from .mod import _name`` and ``obj._attr`` (with ``obj`` other than
 ``self`` or ``cls``) couple one module to another's internals.  Dunder
 names such as ``__setattr__`` are protocol, not private.
+
+The benchmark's tracer patches package names from outside the package, so
+a test also checks that it still finds each of them.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "scaleopt").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "scaleopt").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -44,3 +48,17 @@ def test_rule_catches_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_foreign_private_names(path):
     assert private_references(path.read_text()) == []
+
+
+def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+    # The benchmark's traced run patches package names by attribute; a name
+    # it patches that the package no longer has would break only that run.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    tracing.assert_untraced()
