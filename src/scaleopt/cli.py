@@ -23,6 +23,8 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+ALGORITHMS = {"p": optimizer.P_ALGORITHM, "ei": optimizer.ONE_STEP_BAYES}
+
 
 def _add_common_run_flags(p):
     p.add_argument("--objective", default="sin3x2",
@@ -83,8 +85,7 @@ def _write(path, text):
 
 
 def cmd_run(args) -> int:
-    algorithm = {"p": optimizer.P_ALGORITHM,
-                 "ei": optimizer.ONE_STEP_BAYES}[args.algorithm]
+    algorithm = ALGORITHMS[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
     trace = optimizer.run(algorithm, objective, [lower], [upper], **kwargs)
     _write(args.output + ".csv", trace.to_csv())
@@ -112,8 +113,7 @@ def cmd_homogeneity(args) -> int:
         print(shifted.to_csv())
         return EXIT_MISMATCH
 
-    algorithm = {"p": optimizer.P_ALGORITHM,
-                 "ei": optimizer.ONE_STEP_BAYES}[args.algorithm]
+    algorithm = ALGORITHMS[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
     report = harness.homogeneity_check(algorithm, objective, [lower], [upper],
                                        args.a, args.b, **kwargs)
@@ -162,13 +162,13 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an optimization")
-    p_run.add_argument("--algorithm", default="p", choices=["p", "ei"])
+    p_run.add_argument("--algorithm", default="p", choices=list(ALGORITHMS))
     _add_common_run_flags(p_run)
     p_run.add_argument("--output", default="trace")
     p_run.set_defaults(func=cmd_run)
 
     p_hom = sub.add_parser("homogeneity", help="affine-scaling comparison")
-    p_hom.add_argument("--algorithm", default="p", choices=["p", "ei", "direct"])
+    p_hom.add_argument("--algorithm", default="p", choices=[*ALGORITHMS, "direct"])
     _add_common_run_flags(p_hom)
     p_hom.add_argument("--a", default="1",
                        help="scale factor; float or numeral like 3*G^2")

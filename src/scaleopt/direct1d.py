@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -143,17 +142,18 @@ def counterexample_shift(partition: DirectPartition, j: int) -> float:
 
     For any delta > delta_f / epsilon, interval j is no longer
     potentially optimal once every midpoint value is shifted by delta.
+    The potentially optimal test runs last, only for a j that passes the others.
     """
     deltas = partition.deltas()
     values = partition.values()
     dj, fj = deltas[j], values[j]
     if np.any(values <= 0):
         raise PreconditionError("all midpoint values must be positive")
-    if not potentially_optimal(partition, j).decision:
-        raise PreconditionError(f"interval {j} is not potentially optimal")
     longer = (deltas - dj) > DELTA_EQ_REL * np.maximum(deltas, dj)
     if not longer.any():
         raise PreconditionError(f"interval {j} has no strictly longer neighbour")
+    if not potentially_optimal(partition, j).decision:
+        raise PreconditionError(f"interval {j} is not potentially optimal")
     slopes = (values[longer] - fj) / (deltas[longer] - dj)
     k = int(np.argmin(slopes))
     f_plus = values[longer][k]
@@ -205,28 +205,30 @@ def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> Direc
 
 
 def direct_iterations(objective: Callable, lower: float, upper: float,
-                      epsilon: float = DEFAULT_EPSILON):
-    """DIRECT on [lower, upper] as a lazy sequence of iterations.
+                      epsilon: float, budget: int):
+    """DIRECT on [lower, upper] as a lazy sequence of at most ``budget`` iterations.
 
     Yields (iteration, partition, chosen) before subdividing the chosen
-    intervals, so a caller that stops evaluates and tests nothing more.
+    intervals, so a caller that stops evaluates and tests nothing more.  A
+    budget below 1 raises ``ValueError`` before anything is evaluated.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     root = Interval(lower, upper, _evaluate(objective, 0.5 * (lower + upper)))
     partition = DirectPartition([root], epsilon)
-    for it in itertools.count(1):
+    for it in range(1, budget + 1):
+        if it > 1:
+            partition = _subdivide(partition, chosen, objective)
         chosen = [j for j in range(len(partition.intervals))
                   if potentially_optimal(partition, j).decision]
         yield it, partition, chosen
-        partition = _subdivide(partition, chosen, objective)
 
 
 def run_direct(objective: Callable, lower: float, upper: float,
                epsilon: float = DEFAULT_EPSILON, budget: int = 10):
     """DIRECT iterations on [lower, upper]; returns (partition, trace)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     trace = DirectTrace()
-    for it, partition, chosen in direct_iterations(objective, lower, upper, epsilon):
+    for it, partition, chosen in direct_iterations(objective, lower, upper, epsilon, budget):
         trace.iterations.append({
             "iter": it,
             "subdivided_indices": chosen,
@@ -235,5 +237,4 @@ def run_direct(objective: Callable, lower: float, upper: float,
             "f_min": partition.f_min,
             "n_intervals": len(partition.intervals) + 2 * len(chosen),
         })
-        if it == budget:
-            return _subdivide(partition, chosen, objective), trace
+    return _subdivide(partition, chosen, objective), trace

@@ -67,18 +67,21 @@ class EvaluationHistory:
             raise ValueError("points and values must be finite")
         if np.any(points < lower - 1e-12) or np.any(points > upper + 1e-12):
             raise ValueError("history points must lie inside the region")
-        _check_distinct(points)
+        same = same_point(points, points)
+        np.fill_diagonal(same, False)
+        if same.any():
+            i, j = np.argwhere(same)[0]  # i < j, as same is symmetric
+            raise DuplicatePointsError(
+                f"points {i} and {j} are closer than {DUPLICATE_THRESHOLD} (max-norm)")
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
     def visited(self, points) -> np.ndarray:
-        """Mask of the (m, d) query points within DUPLICATE_THRESHOLD (max-norm)
-        of a history point, the rule that keeps history points distinct."""
+        """Mask of the (m, d) query points that are the same point as a history point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.abs(points[:, None, :] - self.points[None, :, :]).max(axis=2)
-        return (d <= DUPLICATE_THRESHOLD).any(axis=1)
+        return same_point(points, self.points).any(axis=1)
 
     def with_observation(self, point, value) -> "EvaluationHistory":
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -90,17 +93,10 @@ class EvaluationHistory:
         )
 
 
-def _check_distinct(points: np.ndarray) -> None:
-    n = points.shape[0]
-    if n < 2:
-        return
-    diff = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
-    diff[np.diag_indices(n)] = np.inf
-    if diff.min() <= DUPLICATE_THRESHOLD:
-        i, j = np.unravel_index(np.argmin(diff), diff.shape)
-        raise DuplicatePointsError(
-            f"points {i} and {j} are closer than {DUPLICATE_THRESHOLD} (max-norm)"
-        )
+def same_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) mask of point pairs within DUPLICATE_THRESHOLD
+    (max-norm): the one rule for when two points count as the same."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) <= DUPLICATE_THRESHOLD
 
 
 @dataclass(frozen=True)

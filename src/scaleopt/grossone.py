@@ -334,5 +334,4 @@ def scaled_criterion_run(objective, a, b, lower, upper,
     trace = grid_run(algorithm, collapsed, lower, upper, initial_design,
                      budget, kernel, estimator, epsilon, grid)
     # Every observation collapsed exactly, or the run would have raised.
-    return trace, [StepCertificate(r.iteration, 0.0, True)
-                   for r in trace.records if r.iteration > 0]
+    return trace, [StepCertificate(r.iteration, 0.0, True) for r in trace.steps]

@@ -11,15 +11,14 @@ constructed translation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import direct1d, grossone, optimizer
-from .errors import ConfigError
-from .gp import CorrelationKernel
+from . import acquisition as acq, direct1d, grossone, objectives as obj, optimizer
+from .errors import ConfigError, PreconditionError
+from .gp import CorrelationKernel, EvaluationHistory, build_posterior
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class ComparisonReport:
         return lines
 
 
-def _step_records(trace):
-    return [r for r in trace.records if r.iteration > 0]
-
-
 def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
     """Step-by-step grid-index comparison of two optimization traces.
 
@@ -71,7 +66,7 @@ def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
     information, so the comparison ends there.
     """
     report = ComparisonReport(algorithm, a, b)
-    for rb, rs in zip(_step_records(base), _step_records(scaled)):
+    for rb, rs in zip(base.steps, scaled.steps):
         match = rb.grid_index == rs.grid_index
         report.steps.append(StepComparison(rb.iteration, rb.grid_index,
                                            rs.grid_index, match, False))
@@ -113,18 +108,15 @@ def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
     Evaluates posterior mean, standard deviation and the improvement
     criterion on a grid over [0, 1] for the raw values and for the
     affinely related second data set computed exactly as a*f + b, and
-    reports the shared criterion argmax.
+    reports the criterion argmax of each by the run's own grid and
+    selection rules (``optimizer.CandidateGrid``, ``optimizer.select_best``).
     """
-    from . import acquisition as acq
-    from . import objectives as obj
-    from .gp import EvaluationHistory, build_posterior
-
     points = np.array(obj.FIG1_POINTS)[:, None]
     f_vals = np.array(obj.FIG1_F_VALUES)
     phi_exact = obj.FIG1_A * f_vals + obj.FIG1_B
     printed_dev = float(np.abs(np.array(obj.FIG1_PHI_VALUES) - phi_exact).max())
     kernel = CorrelationKernel("exponential", obj.FIG1_KERNEL_C)
-    xs = np.linspace(0.0, 1.0, resolution)[:, None]
+    xs = optimizer.CandidateGrid([0.0], [1.0], resolution).points
 
     out = {"x": xs.ravel(), "printed_phi_deviation": printed_dev,
            "a": obj.FIG1_A, "b": obj.FIG1_B}
@@ -133,12 +125,13 @@ def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
         posterior = build_posterior(history, kernel, estimator)
         asp = acq.aspiration(history, posterior.parameters, epsilon)
         means, variances, _ = posterior.moments_grid(xs)
-        crit, _ = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
+        crit, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
         out[f"m_{tag}"] = means
         out[f"s_{tag}"] = np.sqrt(variances)
         out[f"crit_{tag}"] = crit
         out[f"y_on_{tag}"] = asp.y_on
-        out[f"argmax_{tag}"] = int(np.argmax(crit))  # degenerate entries are -inf
+        out[f"argmax_{tag}"] = optimizer.select_best(
+            crit, ~history.visited(xs) & ~degenerate, xs).grid_index
     return out
 
 
@@ -167,23 +160,22 @@ def build_direct_counterexample(epsilon: float = 1e-4, budget: int = 6,
                                 ) -> DirectCounterexample:
     """Find a translation that changes which intervals DIRECT subdivides.
 
-    Runs DIRECT on the base objective, looks for a potentially optimal
-    interval that is not the longest, and derives the shift threshold for
-    it; any translation above threshold/epsilon removes that interval
-    from the potentially optimal set.
+    Runs DIRECT on the base objective for at most ``budget`` iterations and
+    takes the first potentially optimal interval that meets the
+    preconditions of ``direct1d.counterexample_shift``, which derives its
+    shift threshold; any translation above threshold/epsilon removes that
+    interval from the potentially optimal set.
     """
-    iterations = direct1d.direct_iterations(objective, lower, upper, epsilon)
-    for it, partition, chosen in itertools.islice(iterations, budget):
-        deltas = partition.deltas()
-        longest = deltas.max()
+    for it, partition, chosen in direct1d.direct_iterations(objective, lower, upper,
+                                                            epsilon, budget):
         for j in chosen:
-            iv = partition.intervals[j]
-            if (iv.delta < longest * (1.0 - direct1d.DELTA_EQ_REL)
-                    and partition.values().min() > 0):
+            try:
                 delta_f = direct1d.counterexample_shift(partition, j)
-                shift = 1.01 * delta_f / epsilon if delta_f > 0 else 1.0
-                return DirectCounterexample(objective, lower, upper, epsilon,
-                                            budget, shift, j, it, delta_f)
+            except PreconditionError:
+                continue
+            shift = 1.01 * delta_f / epsilon if delta_f > 0 else 1.0
+            return DirectCounterexample(objective, lower, upper, epsilon,
+                                        budget, shift, j, it, delta_f)
     raise ConfigError("no suitable interval found; increase the budget")
 
 

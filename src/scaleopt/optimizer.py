@@ -37,12 +37,12 @@ from .errors import (
     ObjectiveEvaluationError,
 )
 from .gp import (
-    DUPLICATE_THRESHOLD,
     CorrelationKernel,
     EvaluationHistory,
     GridCorrelations,
     SurrogatePosterior,
     build_posterior,
+    same_point,
 )
 
 P_ALGORITHM = "p-algorithm"
@@ -130,10 +130,8 @@ def select_best(values: np.ndarray, eligible: np.ndarray,
     masked = np.where(eligible, values, -np.inf)
     idx = int(np.argmax(masked))  # first occurrence = lowest index
     best = float(masked[idx])
-    rest = masked.copy()
-    rest[idx] = -np.inf
-    second = float(rest.max()) if np.isfinite(rest).any() else -math.inf
-    return Selection(points[idx], idx, best, _relative_gap(best, second))
+    masked[idx] = -np.inf  # masked is np.where's fresh array
+    return Selection(points[idx], idx, best, _relative_gap(best, float(masked.max())))
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,13 @@ class OptimizationTrace:
     records: list = field(default_factory=list)
 
     @property
+    def steps(self) -> list:
+        """The records of the criterion steps, those after the initial design."""
+        return [r for r in self.records if r.iteration > 0]
+
+    @property
     def grid_indices(self):
-        return [r.grid_index for r in self.records if r.iteration > 0]
+        return [r.grid_index for r in self.steps]
 
     @property
     def best_value(self) -> float:
@@ -326,7 +329,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
             history = EvaluationHistory(lower, upper, point[None, :], [h])
         else:
             history = history.with_observation(point, h)
-        visited[np.abs(points - point).max(axis=1) <= DUPLICATE_THRESHOLD] = True
+        visited[same_point(points, point[None, :])[:, 0]] = True
         return float(value), float(best)
 
     for point in initial_design:

@@ -184,6 +184,15 @@ def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
 
 
 class TestExampleFig1:
+    @pytest.mark.parametrize("resolution", ["1", "0"])
+    def test_grid_resolution_below_two_exits_2(self, resolution, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        code = run_cli(["example-fig1", f"--grid-resolution={resolution}",
+                        "--output", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "grid resolution must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emits_plot_data(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
         code = run_cli(["example-fig1", "--output", str(out)])
@@ -218,6 +227,29 @@ class TestDirectDemo:
         assert run_cli(["direct-demo", "--output", str(tmp_path / "demo")]) == 0
         # builder 5, base run 27, shifted run 15
         assert len(calls) == 47
+
+    @pytest.mark.parametrize("args", [
+        ["direct-demo", "--budget=-3"],
+        ["homogeneity", "--algorithm", "direct", "--budget=-3"],
+        ["homogeneity", "--algorithm", "direct", "--budget=0"],
+    ])
+    def test_bad_budget_exits_2_before_evaluating(self, args, tmp_path, monkeypatch,
+                                                  capsys):
+        build = harness.build_direct_counterexample
+        objective = inspect.signature(build).parameters["objective"].default
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return objective(x)
+
+        monkeypatch.setattr(harness, "build_direct_counterexample",
+                            lambda **kwargs: build(objective=counted, **kwargs))
+        if args[0] == "direct-demo":
+            args = args + ["--output", str(tmp_path / "demo")]
+        assert run_cli(args) == cli.EXIT_CONFIG
+        assert "budget must be at least 1" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("args", [["direct-demo"],
                                       ["homogeneity", "--algorithm", "direct"]])

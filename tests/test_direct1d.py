@@ -185,12 +185,67 @@ class TestRunDirect:
         with pytest.raises(ObjectiveEvaluationError):
             build_direct_counterexample(objective=lambda x: float("nan"))
 
+    def test_iterations_budget_checked_before_evaluating(self):
+        calls = []
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                next(direct1d.direct_iterations(calls.append, 0.0, 1.0, 1e-4, budget))
+        assert calls == []
+
+    def test_iterations_stop_at_budget_without_subdividing_the_last(self):
+        calls = []
+        f = lambda x: calls.append(x) or (x - 0.3) ** 2
+        iterations = list(direct1d.direct_iterations(f, 0.0, 1.0, 1e-4, 3))
+        assert [it for it, _, _ in iterations] == [1, 2, 3]
+        # the root, then two trisections of two new points each per subdivided
+        # interval, for iterations 1 and 2 only
+        assert len(calls) == 1 + 2 * sum(len(chosen) for _, _, chosen in iterations[:2])
+
     def test_translation_changes_subdivisions(self):
         case = build_direct_counterexample()
         mismatch, base, shifted = direct_homogeneity_check(case)
         assert mismatch is not None
         assert base.subdivided_keys()[mismatch - 1] != \
             shifted.subdivided_keys()[mismatch - 1]
+
+
+# (found_at_iteration, interval_index, delta_f) of each built-in + 2.0,
+# recorded from the builder before it delegated its preconditions to
+# ``counterexample_shift``.
+COUNTEREXAMPLES = {
+    "gramacy-lee": (3, 2, 0.2287371736044661),
+    "rastrigin1d": (3, 2, 8.388688888888892),
+    "sin3x2": (3, 2, 0.3870809592866076),
+}
+
+
+class TestCounterexampleBuilder:
+    @staticmethod
+    def lifted(name):
+        fn, (lo, hi) = get_objective(name)
+        return (lambda x: fn(x) + 2.0), lo, hi
+
+    @pytest.mark.parametrize("name", sorted(COUNTEREXAMPLES))
+    def test_pinned_on_lifted_builtins(self, name):
+        objective, lo, hi = self.lifted(name)
+        case = build_direct_counterexample(objective=objective, lower=lo, upper=hi)
+        assert (case.found_at_iteration, case.interval_index,
+                case.delta_f) == COUNTEREXAMPLES[name]
+
+    @pytest.mark.parametrize("name", sorted(COUNTEREXAMPLES))
+    def test_one_test_beyond_the_iterations_it_tests(self, name, monkeypatch):
+        objective, lo, hi = self.lifted(name)
+        calls = []
+        test = direct1d.potentially_optimal
+        monkeypatch.setattr(direct1d, "potentially_optimal",
+                            lambda p, j: calls.append(j) or test(p, j))
+        case = build_direct_counterexample(objective=objective, lower=lo, upper=hi)
+        tested = len(calls)
+        _, trace = direct1d.run_direct(objective, lo, hi, case.epsilon,
+                                       case.found_at_iteration)
+        sizes = [rec["n_intervals"] - 2 * len(rec["subdivided_indices"])
+                 for rec in trace.iterations]
+        assert tested == sum(sizes) + 1
 
 
 class TestSerialization:

@@ -46,6 +46,26 @@ class TestHistory:
         with pytest.raises(ValueError):
             history_1d(np.array([0.1, 0.2]), [1.0])
 
+    @pytest.mark.parametrize("gap, same", [(1e-12, True), (2e-12, False)])
+    def test_same_point_threshold(self, gap, same):
+        # max-norm: a gap in every coordinate counts once, not summed
+        a = np.array([[0.25, 0.5]])
+        b = a + gap
+        assert gp.same_point(a, b).tolist() == [[same]]
+        history = EvaluationHistory([0.0, 0.0], [1.0, 1.0], a, [1.0])
+        assert history.visited(b).tolist() == [same]
+        points = np.vstack([a, [[0.75, 0.75]], b])
+        if same:
+            with pytest.raises(DuplicatePointsError, match="points 0 and 2 are closer"):
+                EvaluationHistory([0.0, 0.0], [1.0, 1.0], points, [1.0, 2.0, 3.0])
+        else:
+            EvaluationHistory([0.0, 0.0], [1.0, 1.0], points, [1.0, 2.0, 3.0])
+
+    def test_same_point_pairwise_shape(self):
+        a = np.array([[0.0], [0.5], [1.0]])
+        np.testing.assert_array_equal(gp.same_point(a, a[1:]),
+                                      [[False, False], [True, False], [False, True]])
+
     def test_append(self):
         h = history_1d(np.array([0.1, 0.2]), [1.0, 2.0])
         h2 = h.with_observation([0.4], 3.0)

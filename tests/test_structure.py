@@ -1,4 +1,5 @@
-"""No module of the package reaches into another's private names.
+"""No module of the package reaches into another's private names, and
+each rule's constant is used only in its home module.
 
 A leading underscore marks a name as internal to its module or object, so
 ``from .mod import _name`` and ``obj._attr`` (with ``obj`` other than
@@ -48,6 +49,35 @@ def test_rule_catches_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_foreign_private_names(path):
     assert private_references(path.read_text()) == []
+
+
+# Each rule's constant belongs to the one module that applies the rule.
+RULE_HOMES = {"DUPLICATE_THRESHOLD": "gp.py", "DELTA_EQ_REL": "direct1d.py"}
+
+
+def name_references(source: str, names) -> set:
+    """The names among ``names`` that ``source`` imports, reads or assigns."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & set(names)
+
+
+def test_name_rule_catches_each_form():
+    source = ("from .gp import DUPLICATE_THRESHOLD\n"
+              "tol = direct1d.DELTA_EQ_REL\n")
+    assert name_references(source, RULE_HOMES) == set(RULE_HOMES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rule_constants_stay_home(path):
+    foreign = {name for name, home in RULE_HOMES.items() if home != path.name}
+    assert name_references(path.read_text(), foreign) == set()
 
 
 def test_bench_tracer_installs_and_uninstalls(monkeypatch):
