@@ -174,7 +174,8 @@ def make_parser():
                        help="scale factor; float or numeral like 3*G^2")
     p_hom.add_argument("--b", default="0",
                        help="offset; float or numeral like G^-1")
-    p_hom.add_argument("--direct-epsilon", type=float, default=1e-4)
+    p_hom.add_argument("--direct-epsilon", type=float,
+                       default=direct1d.DEFAULT_EPSILON)
     p_hom.set_defaults(func=cmd_homogeneity)
 
     p_fig = sub.add_parser("example-fig1", help="five-point example data")
@@ -185,8 +186,8 @@ def make_parser():
     p_fig.set_defaults(func=cmd_example_fig1)
 
     p_dd = sub.add_parser("direct-demo", help="DIRECT translation sensitivity")
-    p_dd.add_argument("--direct-epsilon", type=float, default=1e-4)
-    p_dd.add_argument("--budget", type=int, default=6)
+    p_dd.add_argument("--direct-epsilon", type=float, default=direct1d.DEFAULT_EPSILON)
+    p_dd.add_argument("--budget", type=int, default=harness.COUNTEREXAMPLE_BUDGET)
     p_dd.add_argument("--output", default="direct_demo")
     p_dd.set_defaults(func=cmd_direct_demo)
 

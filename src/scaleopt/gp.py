@@ -6,17 +6,20 @@ two parameter estimators (sample moments and maximum likelihood).  Both
 estimators are affine equivariant: scaling the observed values by
 ``a*y + b`` maps the mean estimate to ``a*mu + b`` and the variance
 estimate to ``a**2 * sigma2``, which is what makes the acquisition
-criteria built on top of this module scale invariant.  A run's
-``GridCorrelations`` appends one row of grid correlations per observation.
+criteria built on top of this module scale invariant.  What depends on the
+points alone (S's Cholesky factor, the grid correlations and variances) is
+kept in a run's ``GridCorrelations`` and grows by one row per observation,
+O(n**2 + n*m) on m grid points, instead of O(n**2 * m).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 from .errors import (
     DuplicatePointsError,
@@ -33,6 +36,12 @@ VARIANCE_CLAMP_TOL = 1e-10
 
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-6
+
+# An appended squared pivot 1 + jitter - l.l below 2**-26 (about sqrt(eps))
+# has lost about half its digits to cancellation, which potrf's factor of the
+# same matrix does not: with the squared-exponential kernel an appended 1.7e-14
+# put grid variances off by 1.4e-5, potrf's by 2e-13.  Positivity is not enough.
+_PIVOT_FLOOR = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -63,16 +72,11 @@ class EvaluationHistory:
             raise ValueError("values must have one entry per point")
         if points.shape[0] < 1:
             raise ValueError("history needs at least one observation")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(values))):
-            raise ValueError("points and values must be finite")
-        if np.any(points < lower - 1e-12) or np.any(points > upper + 1e-12):
-            raise ValueError("history points must lie inside the region")
+        _check_inside(points, values, lower, upper)
         same = same_point(points, points)
         np.fill_diagonal(same, False)
         if same.any():
-            i, j = np.argwhere(same)[0]  # i < j, as same is symmetric
-            raise DuplicatePointsError(
-                f"points {i} and {j} are closer than {DUPLICATE_THRESHOLD} (max-norm)")
+            raise _duplicates(*np.argwhere(same)[0])  # i < j, as same is symmetric
 
     @property
     def n(self) -> int:
@@ -84,19 +88,43 @@ class EvaluationHistory:
         return same_point(points, self.points).any(axis=1)
 
     def with_observation(self, point, value) -> "EvaluationHistory":
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        return EvaluationHistory(
-            self.lower,
-            self.upper,
-            np.vstack([self.points, point[None, :]]),
-            np.append(self.values, float(value)),
-        )
+        """This history and one more observation; only the new point is checked."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))[None, :]
+        value = np.atleast_1d(float(value))
+        if point.shape[1:] != self.lower.shape:
+            raise ValueError("points must have shape (n, d)")
+        _check_inside(point, value, self.lower, self.upper)
+        same = same_point(self.points, point)
+        if same.any():
+            raise _duplicates(int(np.argmax(same)), self.n)
+        extended = copy.copy(self)  # skips __post_init__, which checks every point
+        object.__setattr__(extended, "points", np.concatenate([self.points, point]))
+        object.__setattr__(extended, "values", np.concatenate([self.values, value]))
+        return extended
+
+
+def _check_inside(points, values, lower, upper):
+    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+        raise ValueError("points and values must be finite")
+    if (points < lower - 1e-12).any() or (points > upper + 1e-12).any():
+        raise ValueError("history points must lie inside the region")
+
+
+def _duplicates(i, j) -> DuplicatePointsError:
+    return DuplicatePointsError(
+        f"points {i} and {j} are closer than {DUPLICATE_THRESHOLD} (max-norm)")
 
 
 def same_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (len(a), len(b)) mask of point pairs within DUPLICATE_THRESHOLD
-    (max-norm): the one rule for when two points count as the same."""
-    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) <= DUPLICATE_THRESHOLD
+    (max-norm): the one rule for when two points count as the same.
+
+    It tests one axis at a time, which is the max-norm rule without the
+    (len(a), len(b), d) difference array."""
+    same = np.abs(a[:, None, 0] - b[None, :, 0]) <= DUPLICATE_THRESHOLD
+    for k in range(1, a.shape[1]):
+        same &= np.abs(a[:, None, k] - b[None, :, k]) <= DUPLICATE_THRESHOLD
+    return same
 
 
 @dataclass(frozen=True)
@@ -155,27 +183,91 @@ def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) ->
 
 
 class GridCorrelations:
-    """The correlations Upsilon of fixed (m, d) points with a growing history.
+    """The point-only model state of one run on fixed (m, d) grid points.
 
-    ``rows(history)`` computes each new history point's row once, and raises
-    ``ValueError`` for a history that does not extend the points seen so far.
+    For a growing history: the grid correlations Upsilon (n, m), the lower
+    Cholesky factor L of S + jitter*I (``factor``), V = L^-1 Upsilon and q,
+    the column sums of V**2.  A new point with correlations s to the earlier
+    ones appends one row of each, at O(n**2 + n*m):
+
+        l = L^-1 s,  d**2 = 1 + jitter - l.l,  v = (upsilon - l'V)/d,  q += v**2
+
+    S is factored in bulk instead for the first points, when d**2 falls below
+    ``_PIVOT_FLOOR``, and then at every step while the factor holds such a
+    pivot.  Arrays handed out are never written again: later rows go beyond
+    them, and a bulk factor or a capacity beyond ``capacity`` gets new ones.
     """
 
-    def __init__(self, points: np.ndarray, kernel: CorrelationKernel):
+    def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
         self.points, self.kernel = points, kernel
-        self._seen, self._ups = points[:0], np.empty((0, len(points)))
+        self._seen = points[:0]
+        self._ups, self._v = np.zeros((capacity, len(points))), np.zeros((capacity, len(points)))
+        self._lower = np.zeros((capacity, capacity))
+        self.q = np.zeros(len(points))
+        self.jitter = 0.0
+        self._refactor_next = True  # no factor yet, or one with a pivot below the floor
+
+    @property
+    def factor(self) -> np.ndarray:
+        """L over the history seen so far; its upper triangle is zero."""
+        n = len(self._seen)
+        return self._lower[:n, :n]
 
     def rows(self, history: EvaluationHistory) -> np.ndarray:
+        """Bring the state up to ``history``; its Upsilon rows, (n, m).
+
+        A history that does not extend the points seen so far raises
+        ``ValueError`` and leaves the state as it was.
+        """
         n, k = history.n, len(self._seen)
         if not np.array_equal(history.points[:k], self._seen):
             raise ValueError("history does not extend the points cached so far")
         if n > len(self._ups):  # doubling keeps the copying O(m) per row
-            self._ups = np.resize(self._ups, (max(n, 2 * len(self._ups)), len(self.points)))
+            cap = max(n, 2 * len(self._ups))
+            self._ups = _grown(self._ups[:k], (cap, len(self.points)))
+            self._v = _grown(self._v[:k], (cap, len(self.points)))
+            self._lower = _grown(self.factor, (cap, cap))
         for i in range(k, n):
             self._ups[i] = self.kernel.of_distance(
                 _cross_distances(history.points[i:i + 1], self.points))
+        if n > k and (self._refactor_next
+                      or not all(self._append(history.points, i) for i in range(k, n))):
+            self._refactor(history)
         self._seen = history.points.copy()
         return self._ups[:n]
+
+    def _append(self, points: np.ndarray, i: int) -> bool:
+        """Append point i's row of L, V and q; False if its pivot is below the floor."""
+        s = self.kernel.of_distance(_cross_distances(points[i:i + 1], points[:i]))[0]
+        l = solve_triangular(self._lower[:i, :i], s, lower=True, check_finite=False)
+        pivot2 = 1.0 + self.jitter - l @ l
+        if not pivot2 >= _PIVOT_FLOOR:
+            return False
+        d = np.sqrt(pivot2)
+        self._lower[i, :i], self._lower[i, i] = l, d
+        self._v[i] = (self._ups[i] - l @ self._v[:i]) / d
+        self.q = self.q + self._v[i] ** 2
+        return True
+
+    def _refactor(self, history: EvaluationHistory):
+        (factor, _), self.jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
+        lower = np.tril(factor)
+        v, self.q = _whitened(lower, self._ups[:history.n])
+        self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
+        self._refactor_next = np.diag(lower).min() ** 2 < _PIVOT_FLOOR
+
+
+def _grown(array: np.ndarray, shape) -> np.ndarray:
+    """A new zero array of ``shape`` with ``array`` in its leading block."""
+    grown = np.zeros(shape)
+    grown[:array.shape[0], :array.shape[1]] = array
+    return grown
+
+
+def _whitened(lower: np.ndarray, ups: np.ndarray):
+    """V = L^-1 Upsilon and q, the column sums of V**2, in bulk."""
+    v = solve_triangular(lower, ups, lower=True, check_finite=False)
+    return v, np.einsum("im,im->m", v, v)
 
 
 def estimate_sample(history: EvaluationHistory) -> ModelParameters:
@@ -209,11 +301,14 @@ def estimate_mle(history: EvaluationHistory, kernel: CorrelationKernel) -> Model
 class SurrogatePosterior:
     """Conditional Gaussian model given an evaluation history.
 
-    The one place that factors the correlation matrix S.  The ``mle``
-    estimates are the generalized-least-squares mean (1' S^-1 y) / (1' S^-1 1)
-    and the averaged quadratic form of the residual weights S^-1 (y - mu),
-    which the moments use too; ``sample`` uses ``estimate_sample``.
-    Immutable after construction; moment queries are read-only.
+    It takes the Cholesky factor L of S + jitter*I from the run's
+    ``grid_correlations`` under the same kernel, or factors S itself, once.
+    The ``mle`` estimates are the generalized-least-squares mean
+    (1' S^-1 y) / (1' S^-1 1) and the averaged quadratic form of the
+    residual weights S^-1 (y - mu), which the means use too; ``sample``
+    uses ``estimate_sample``.  The raw conditional variance is 1 - q, with
+    q the column sums of (L^-1 Upsilon)**2.  Immutable after construction;
+    moment queries are read-only.
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
@@ -222,8 +317,14 @@ class SurrogatePosterior:
             raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
         self.kernel = kernel
-        self.grid_correlations = grid_correlations
-        self._factor, self.jitter = _factor_with_jitter(correlation_matrix(history, kernel))
+        state = grid_correlations
+        if state is None or state.kernel != kernel:
+            (factor, _), self.jitter = _factor_with_jitter(correlation_matrix(history, kernel))
+            self._grid = None
+        else:
+            self._grid, self._grid_ups = state.points, state.rows(history)
+            factor, self.jitter, self._grid_q = state.factor, state.jitter, state.q
+        self._factor = (factor, True)
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)
@@ -246,15 +347,17 @@ class SurrogatePosterior:
     def moments_grid(self, points: np.ndarray):
         """Vectorized conditional moments for an (m, d) array of query points.
 
-        Returns (means, variances, clamped_mask) as arrays of length m.  The
-        correlations come from ``grid_correlations`` if ``points`` is its grid.
+        Returns (means, variances, clamped_mask) as arrays of length m.
+        Upsilon and q come from ``grid_correlations`` if ``points`` is its grid.
         """
-        cache = self.grid_correlations
-        if cache is None or points is not cache.points or cache.kernel != self.kernel:
-            cache = GridCorrelations(np.atleast_2d(np.asarray(points, dtype=float)), self.kernel)
-        ups = cache.rows(self.history)  # (n, m)
+        if points is self._grid:
+            ups, q = self._grid_ups, self._grid_q
+        else:
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
+            _, q = _whitened(self._factor[0], ups)
         means = self.parameters.mu + self._resid_weights @ ups
-        raw = 1.0 - np.einsum("im,im->m", ups, cho_solve(self._factor, ups))
+        raw = 1.0 - q
         sigma2 = self.parameters.sigma2
         clamped = raw < -VARIANCE_CLAMP_TOL
         variances = sigma2 * np.clip(raw, 0.0, 1.0)

@@ -150,11 +150,16 @@ class DirectCounterexample:
     delta_f: float
 
 
+# DIRECT iterations the counterexample builder searches by default.
+COUNTEREXAMPLE_BUDGET = 6
+
+
 def _default_direct_objective(x):
     return (x - 0.31) ** 2 + 1.0
 
 
-def build_direct_counterexample(epsilon: float = 1e-4, budget: int = 6,
+def build_direct_counterexample(epsilon: float = direct1d.DEFAULT_EPSILON,
+                                budget: int = COUNTEREXAMPLE_BUDGET,
                                 objective: Callable = _default_direct_objective,
                                 lower: float = 0.0, upper: float = 1.0,
                                 ) -> DirectCounterexample:

@@ -3,8 +3,10 @@
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
-``grossone.scaled_criterion_run``; it keeps its visited mask and grid
-correlations (``gp.GridCorrelations``), O(m*d) to update per observation.
+``grossone.scaled_criterion_run``.  It keeps its visited mask, O(m*d) to
+update per observation on m grid points, and the model's point-only state
+(``gp.GridCorrelations``: the grid correlations, the Cholesky factor and
+the grid variances), O(n**2 + n*m) to grow by one observation.
 
 Objective values are read by one rule, ``exact_value``, which keeps
 ``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
@@ -314,7 +316,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     history = None
     best = math.inf
     points = grid.points
-    correlations = GridCorrelations(points, kernel)
+    correlations = GridCorrelations(points, kernel, len(initial_design) + budget)
     visited = np.zeros(len(points), dtype=bool)  # history.visited(points), kept by observe
 
     def observe(point):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they check: matrix inversion is
 done by Gauss-Jordan elimination instead of a Cholesky solve, expected
-improvement by adaptive quadrature instead of the closed form, and the
-potentially-optimal test by a dense scan over Lipschitz constants.
+improvement by adaptive quadrature instead of the closed form, the
+potentially-optimal test by a dense scan over Lipschitz constants, and a
+step's criteria by an mpmath inverse at 60 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -176,3 +178,56 @@ def random_history(rng, n, d, min_dist=0.05):
             points.append(cand)
     values = rng.uniform(-1.0, 1.0, size=n)
     return np.array(points), values
+
+
+def criteria_60(sigma, jitter, ups, values, estimator, epsilon, kind, dps=60):
+    """A step's criterion at ``dps`` digits for the candidates of ``ups``.
+
+    Takes the step's float data as exact: the correlation matrix ``sigma``
+    (n, n) with ``jitter`` added to its diagonal, the candidate correlations
+    ``ups`` (n, k) and the normalized values.  ``kind`` is "p" or "ei".
+    Returns (criteria, raw_variances, sigma2) as mpf; a criterion whose raw
+    variance or sigma2 is not positive is -inf.
+    """
+    with mpmath.workdps(dps):
+        n = len(values)
+        s = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in sigma])
+        for i in range(n):
+            s[i, i] += mpmath.mpf(float(jitter))
+        y = [mpmath.mpf(float(v)) for v in values]
+
+        s_inv = mpmath.inverse(s)
+
+        def solve(b):
+            return s_inv * mpmath.matrix(b)
+
+        def dot(a, b):
+            return mpmath.fsum(a[i] * b[i] for i in range(n))
+
+        if estimator == "mle":
+            s_inv_ones = solve([1] * n)
+            mu = dot(s_inv_ones, y) / dot(s_inv_ones, [1] * n)
+        else:
+            mu = mpmath.fsum(y) / n
+        resid = [v - mu for v in y]
+        weights = solve(resid)
+        if estimator == "mle":
+            sigma2 = dot(resid, weights) / n
+        else:
+            sigma2 = mpmath.fsum(r * r for r in resid) / (n - 1)
+        sd = mpmath.sqrt(sigma2) if sigma2 > 0 else mpmath.mpf(0)
+        y_on = min(y) - mpmath.mpf(float(epsilon)) * sd
+        criteria, raws = [], []
+        for col in np.asarray(ups, dtype=float).T:
+            u = [mpmath.mpf(float(v)) for v in col]
+            raw = 1 - dot(u, solve(u))
+            raws.append(raw)
+            if raw <= 0 or sigma2 <= 0:
+                criteria.append(mpmath.mpf("-inf"))
+                continue
+            m = mu + dot(u, weights)
+            spread = sd * mpmath.sqrt(raw)
+            t = (y_on - m) / spread
+            criteria.append(t if kind == "p"
+                            else spread * (t * mpmath.ncdf(t) + mpmath.npdf(t)))
+        return criteria, raws, sigma2

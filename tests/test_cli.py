@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from scaleopt import cli, harness, objectives
+from scaleopt import cli, direct1d, harness, objectives
 
 
 def run_cli(args):
@@ -260,3 +260,14 @@ class TestDirectDemo:
         out = capsys.readouterr().out
         assert "176.05067974074205" in out
         assert "np.float64" not in out
+
+
+def test_direct_defaults_have_one_home():
+    params = inspect.signature(harness.build_direct_counterexample).parameters
+    assert params["epsilon"].default == direct1d.DEFAULT_EPSILON
+    assert params["budget"].default == harness.COUNTEREXAMPLE_BUDGET
+    parser = cli.make_parser()
+    demo = parser.parse_args(["direct-demo"])
+    assert demo.direct_epsilon == direct1d.DEFAULT_EPSILON
+    assert demo.budget == harness.COUNTEREXAMPLE_BUDGET
+    assert parser.parse_args(["homogeneity"]).direct_epsilon == direct1d.DEFAULT_EPSILON

@@ -1,0 +1,78 @@
+"""Each float decision of a run checked against the same model at 60 digits.
+
+At every criterion step the float top-8 eligible candidates are re-ranked
+with ``oracles.criteria_60``, rebuilt from the step's own float data: the
+correlation matrix with the jitter used, the candidate correlations and the
+normalized values.  The float pick must be the 60-digit argmax, or tie it
+to within ``TIE_REL``, or the step must be float-decided: the pick's
+60-digit raw variance lies below ``FLOAT_RAW`` or the 60-digit sigma-hat**2
+is not positive, so float64 cannot resolve the criterion there.
+
+Squared-exponential EI runs are left out: on many of their steps every
+eligible float EI underflows to 0.0 and the argmax takes the lowest
+unvisited index, a known limit of the float criterion.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from scaleopt import acquisition as acq
+from scaleopt import gp
+from scaleopt import optimizer as opt
+from scaleopt.objectives import get_objective
+
+TOP = 8
+TIE_REL = 2e-15
+FLOAT_RAW = 1e-12
+BUDGET = 25
+
+
+def recorded_steps(monkeypatch, algorithm, kernel, estimator, name):
+    """(posterior, aspiration, visited, selection) of each criterion step of a run."""
+    steps = []
+    argmax = opt.argmax_criterion
+
+    def recording(kind, posterior, asp, grid, visited):
+        sel = argmax(kind, posterior, asp, grid, visited)
+        steps.append((posterior, asp, visited.copy(), sel))
+        return sel
+
+    monkeypatch.setattr(opt, "argmax_criterion", recording)
+    objective, (lower, upper) = get_objective(name)
+    grid = opt.CandidateGrid.for_region([lower], [upper])
+    opt.run(algorithm, objective, [lower], [upper], budget=BUDGET, kernel=kernel,
+            estimator=estimator, grid=grid)
+    return grid, steps
+
+
+def classify(kind, estimator, grid, posterior, asp, visited, sel) -> str:
+    """'agrees', 'tie', 'float-decided' or 'wrong' for one step."""
+    values, degenerate = acq.criterion_grid(kind, posterior, asp, grid.points)
+    masked = np.where(~visited & ~degenerate, values, -np.inf)
+    top = np.argsort(-masked, kind="stable")[:TOP]
+    top = top[np.isfinite(masked[top])]
+    assert top[0] == sel.grid_index
+    history, kernel = posterior.history, posterior.kernel
+    ups = kernel.of_distance(gp._cross_distances(history.points, grid.points[top]))
+    criteria, raws, sigma2 = oracles.criteria_60(
+        gp.correlation_matrix(history, kernel), posterior.jitter, ups, history.values,
+        estimator, asp.epsilon, "p" if kind == acq.P_CRITERION else "ei")
+    best = max(range(len(top)), key=lambda k: criteria[k])
+    if best == 0:
+        return "agrees"
+    if abs(criteria[best] - criteria[0]) <= TIE_REL * abs(criteria[best]):
+        return "tie"
+    if raws[0] < FLOAT_RAW or sigma2 <= 0:
+        return "float-decided"
+    return "wrong"
+
+
+@pytest.mark.parametrize("family, objective", [("exponential", "rastrigin1d"),
+                                               ("squared-exponential", "sin3x2")])
+def test_every_p_step_agrees_ties_or_is_float_decided(family, objective, monkeypatch):
+    kernel = gp.CorrelationKernel(family, 5.0)
+    grid, steps = recorded_steps(monkeypatch, opt.P_ALGORITHM, kernel, "mle", objective)
+    assert len(steps) == BUDGET
+    outcomes = [classify(acq.P_CRITERION, "mle", grid, *step) for step in steps]
+    assert "wrong" not in outcomes, outcomes

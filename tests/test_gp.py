@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scipy.linalg import cho_factor, solve_triangular
 from scaleopt import gp
 from scaleopt.errors import DuplicatePointsError, InsufficientDataError
 from scaleopt.gp import (
@@ -71,6 +73,26 @@ class TestHistory:
         h2 = h.with_observation([0.4], 3.0)
         assert h2.n == 3 and h.n == 2
         assert h2.values[-1] == 3.0
+
+    @pytest.mark.parametrize("point, value", [
+        ([np.nan, 0.5], 1.0), ([0.3, 0.5], np.inf), ([0.3, 1.5], 1.0),
+        ([0.75, 0.75], 1.0), ([0.75 + 1e-12, 0.75], 1.0), ([0.25, 0.5 - 7.5e-13], 1.0),
+    ], ids=["nan-point", "inf-value", "outside", "duplicate", "within-threshold",
+            "first-of-two"])
+    def test_append_checks_new_point_as_full_build(self, point, value):
+        # the same error type and message as validating the whole history
+        points = np.array([[0.25, 0.5], [0.75, 0.75], [0.25, 0.5 - 1.5e-12]])
+        h = EvaluationHistory([0.0, 0.0], [1.0, 1.0], points, [1.0, 2.0, 3.0])
+        with pytest.raises((ValueError, DuplicatePointsError)) as full:
+            EvaluationHistory(h.lower, h.upper, np.vstack([points, [point]]),
+                              np.append(h.values, value))
+        with pytest.raises(full.type, match=f"^{re.escape(str(full.value))}$"):
+            h.with_observation(point, value)
+
+    def test_append_rejects_wrong_dimension(self):
+        h = history_1d(np.array([0.1, 0.2]), [1.0, 2.0])
+        with pytest.raises(ValueError, match="shape"):
+            h.with_observation([0.4, 0.5], 3.0)
 
 
 class TestCorrelationMatrix:
@@ -260,7 +282,8 @@ class TestConditionalMoments:
 
 
 class TestGridCorrelations:
-    """The appended rows are bit-identical to the full build."""
+    """The appended rows of Upsilon are bit-identical to the full build; the
+    appended factor, V and q agree with a bulk factorization."""
 
     KERNELS = [CorrelationKernel("exponential", 5.0),
                CorrelationKernel("squared-exponential", 5.0)]
@@ -286,24 +309,84 @@ class TestGridCorrelations:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
     def test_moments_identical_with_and_without_cache(self, kernel, estimator):
+        # the cached side is an appended factor, the plain side potrf's
         rng = np.random.default_rng(5)
         grid = rng.uniform(0, 1, size=(400, 2))
         cache = GridCorrelations(grid, kernel)
         for history in self.histories(rng, 10, 2)[1:]:
             cached = build_posterior(history, kernel, estimator, cache).moments_grid(grid)
             plain = build_posterior(history, kernel, estimator).moments_grid(grid)
-            for a, b in zip(cached, plain):
-                assert np.array_equal(a, b)
+            np.testing.assert_allclose(cached[0], plain[0], rtol=1e-10, atol=0)
+            np.testing.assert_allclose(cached[1], plain[1], rtol=1e-10, atol=0)
+            assert np.array_equal(cached[2], plain[2])
 
     def test_used_only_for_its_grid_and_kernel(self, monkeypatch):
         rng = np.random.default_rng(9)
         grid = rng.uniform(0, 1, size=(50, 1))
         history = self.histories(rng, 4, 1)[-1]
         cache = GridCorrelations(grid, KERNEL)
+        # on another grid the moments are the plain posterior's
+        other_grid = grid.copy()
+        with_cache = build_posterior(history, KERNEL, "mle", cache).moments_grid(other_grid)
+        plain = build_posterior(history, KERNEL, "mle").moments_grid(other_grid)
+        for a, b in zip(with_cache, plain):
+            assert np.array_equal(a, b)
+        # another kernel never touches the state
         monkeypatch.setattr(cache, "rows", lambda history: pytest.fail("cache used"))
         other = CorrelationKernel("exponential", 2.0)
         build_posterior(history, other, "mle", cache).moments_grid(grid)
-        build_posterior(history, KERNEL, "mle", cache).moments_grid(grid.copy())
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    def test_factor_reproduces_correlation_matrix(self, kernel):
+        rng = np.random.default_rng(17)
+        grid = rng.uniform(0, 1, size=(200, 2))
+        cache = GridCorrelations(grid, kernel)
+        for history in self.histories(rng, 15, 2):
+            ups = cache.rows(history)
+            lower = cache.factor
+            target = correlation_matrix(history, kernel) + cache.jitter * np.eye(history.n)
+            np.testing.assert_allclose(lower @ lower.T, target, rtol=0, atol=1e-14)
+            assert np.array_equal(lower, np.tril(lower))
+            v = solve_triangular(lower, ups, lower=True)
+            np.testing.assert_allclose(cache.q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    def test_two_rows_at_once_equal_one_at_a_time(self, kernel):
+        rng = np.random.default_rng(19)
+        grid = rng.uniform(0, 1, size=(300, 2))
+        histories = self.histories(rng, 9, 2)
+        one, two = GridCorrelations(grid, kernel), GridCorrelations(grid, kernel)
+        one.rows(histories[4])
+        two.rows(histories[4])
+        for history in histories[5:]:
+            one.rows(history)
+        for history in histories[6::2]:
+            two.rows(history)
+        for a, b in ((one.rows(histories[-1]), two.rows(histories[-1])),
+                     (one.factor, two.factor), (one.q, two.q)):
+            assert np.array_equal(a, b)
+        assert one.jitter == two.jitter
+
+    def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "cho_factor",
+                            lambda *args, **kw: calls.append(args) or cho_factor(*args, **kw))
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        cache = GridCorrelations(np.linspace(0, 1, 101)[:, None], kernel)
+        h = history_1d(np.array([0.1, 0.5]), [1.0, 2.0])
+        cache.rows(h)
+        h = h.with_observation([0.9], 0.5)
+        cache.rows(h)
+        assert len(calls) == 1  # a far point appends
+        # a squared pivot of about 2*c*1e-10 lies below the floor
+        h = h.with_observation([0.5 + 1e-5], 3.0)
+        cache.rows(h)
+        assert len(calls) == 2
+        (bulk, _), _ = gp._factor_with_jitter(correlation_matrix(h, kernel))
+        assert np.array_equal(cache.factor, np.tril(bulk))
+        # the factor keeps that pivot, so the next point is factored in bulk too
+        cache.rows(h.with_observation([0.2], 1.5))
+        assert len(calls) == 4
 
     def test_history_that_does_not_extend_the_cache_is_rejected(self):
         rng = np.random.default_rng(13)

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleopt import acquisition as acq
+from scaleopt import gp
 from scaleopt import optimizer as opt
 from scaleopt.errors import AllCandidatesDegenerateError, ObjectiveEvaluationError
 from scaleopt.gp import CorrelationKernel, EvaluationHistory, build_posterior
-from scaleopt.objectives import sin3x2
+from scaleopt.harness import homogeneity_check
+from scaleopt.objectives import get_objective, sin3x2
 
 KERNEL = CorrelationKernel("exponential", 5.0)
 
@@ -177,6 +179,24 @@ class TestRun:
         trace = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=10,
                         estimator="sample")
         assert len(trace.grid_indices) == 10
+
+    def test_exponential_run_factors_once(self, monkeypatch):
+        # every later observation appends a row to the run's factor
+        calls = []
+        cho_factor = gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor",
+                            lambda *args, **kw: calls.append(args) or cho_factor(*args, **kw))
+        trace = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=25)
+        assert len(trace.grid_indices) == 25 and len(calls) == 1
+
+    def test_squared_exponential_expected_improvement_completes(self):
+        # a run that raised AllCandidatesDegenerateError when appended squared
+        # pivots were accepted down to zero
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        objective, (lower, upper) = get_objective("rastrigin1d")
+        report = homogeneity_check(opt.ONE_STEP_BAYES, objective, [lower], [upper],
+                                   3.9765, -7.3, budget=25, kernel=kernel)
+        assert len(report.steps) == 25 and report.passed
 
 
 def overflowing(x):
