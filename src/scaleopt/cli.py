@@ -34,7 +34,7 @@ def _add_common_run_flags(p):
     p.add_argument("--kernel-c", type=float, default=5.0)
     p.add_argument("--estimator", default="mle", choices=["sample", "mle"])
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=20)
+    p.add_argument("--budget", type=int)  # None: the algorithm's own default
     p.add_argument("--grid-resolution", type=int, default=1001)
     p.add_argument("--config", help="JSON file with defaults; flags override")
 
@@ -74,8 +74,9 @@ def _build_kwargs(args):
     grid = optimizer.CandidateGrid.for_region([lower], [upper],
                                               args.grid_resolution)
     kernel = CorrelationKernel(args.kernel, args.kernel_c)
+    budget = optimizer.DEFAULT_BUDGET if args.budget is None else args.budget
     return objective, lower, upper, dict(
-        budget=args.budget, kernel=kernel, estimator=args.estimator,
+        budget=budget, kernel=kernel, estimator=args.estimator,
         epsilon=args.epsilon, grid=grid)
 
 
@@ -98,8 +99,8 @@ def cmd_run(args) -> int:
 
 def cmd_homogeneity(args) -> int:
     if args.algorithm == "direct":
-        case = harness.build_direct_counterexample(epsilon=args.direct_epsilon,
-                                                   budget=args.budget)
+        budget = harness.COUNTEREXAMPLE_BUDGET if args.budget is None else args.budget
+        case = harness.build_direct_counterexample(epsilon=args.direct_epsilon, budget=budget)
         mismatch, base, shifted = harness.direct_homogeneity_check(case)
         print(f"translation shift: {case.shift!r} "
               f"(threshold delta_f={case.delta_f!r}, eps={case.epsilon})")

@@ -192,9 +192,10 @@ class GridCorrelations:
 
         l = L^-1 s,  d**2 = 1 + jitter - l.l,  v = (upsilon - l'V)/d,  q += v**2
 
-    S is factored in bulk instead for the first points, when d**2 falls below
-    ``_PIVOT_FLOOR``, and then at every step while the factor holds such a
-    pivot.  Arrays handed out are never written again: later rows go beyond
+    S is factored in bulk instead for the first points and whenever a new
+    point's d**2 falls below ``_PIVOT_FLOOR``.  This is the only code that
+    factors S; a posterior without a run's state builds one over no grid
+    points.  Arrays handed out are never written again: later rows go beyond
     them, and a bulk factor or a capacity beyond ``capacity`` gets new ones.
     """
 
@@ -205,7 +206,6 @@ class GridCorrelations:
         self._lower = np.zeros((capacity, capacity))
         self.q = np.zeros(len(points))
         self.jitter = 0.0
-        self._refactor_next = True  # no factor yet, or one with a pivot below the floor
 
     @property
     def factor(self) -> np.ndarray:
@@ -227,11 +227,9 @@ class GridCorrelations:
             self._ups = _grown(self._ups[:k], (cap, len(self.points)))
             self._v = _grown(self._v[:k], (cap, len(self.points)))
             self._lower = _grown(self.factor, (cap, cap))
-        for i in range(k, n):
-            self._ups[i] = self.kernel.of_distance(
-                _cross_distances(history.points[i:i + 1], self.points))
-        if n > k and (self._refactor_next
-                      or not all(self._append(history.points, i) for i in range(k, n))):
+        self._ups[k:n] = self.kernel.of_distance(
+            _cross_distances(history.points[k:n], self.points))
+        if n > k and (k == 0 or not all(self._append(history.points, i) for i in range(k, n))):
             self._refactor(history)
         self._seen = history.points.copy()
         return self._ups[:n]
@@ -254,7 +252,6 @@ class GridCorrelations:
         lower = np.tril(factor)
         v, self.q = _whitened(lower, self._ups[:history.n])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
-        self._refactor_next = np.diag(lower).min() ** 2 < _PIVOT_FLOOR
 
 
 def _grown(array: np.ndarray, shape) -> np.ndarray:
@@ -301,8 +298,9 @@ def estimate_mle(history: EvaluationHistory, kernel: CorrelationKernel) -> Model
 class SurrogatePosterior:
     """Conditional Gaussian model given an evaluation history.
 
-    It takes the Cholesky factor L of S + jitter*I from the run's
-    ``grid_correlations`` under the same kernel, or factors S itself, once.
+    It reads the Cholesky factor L of S + jitter*I from the run's
+    ``grid_correlations`` under the same kernel, or else from a
+    ``GridCorrelations`` over no grid points built for this history.
     The ``mle`` estimates are the generalized-least-squares mean
     (1' S^-1 y) / (1' S^-1 1) and the averaged quadratic form of the
     residual weights S^-1 (y - mu), which the means use too; ``sample``
@@ -319,12 +317,9 @@ class SurrogatePosterior:
         self.kernel = kernel
         state = grid_correlations
         if state is None or state.kernel != kernel:
-            (factor, _), self.jitter = _factor_with_jitter(correlation_matrix(history, kernel))
-            self._grid = None
-        else:
-            self._grid, self._grid_ups = state.points, state.rows(history)
-            factor, self.jitter, self._grid_q = state.factor, state.jitter, state.q
-        self._factor = (factor, True)
+            state = GridCorrelations(history.points[:0], kernel)
+        self._grid, self._grid_ups = state.points, state.rows(history)
+        self._factor, self.jitter, self._grid_q = (state.factor, True), state.jitter, state.q
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)

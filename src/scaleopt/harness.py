@@ -184,12 +184,11 @@ def build_direct_counterexample(epsilon: float = direct1d.DEFAULT_EPSILON,
     raise ConfigError("no suitable interval found; increase the budget")
 
 
-def direct_homogeneity_check(case: Optional[DirectCounterexample] = None):
+def direct_homogeneity_check(case: DirectCounterexample):
     """Run DIRECT on f and on f + shift and compare subdivision choices.
 
     Returns (mismatch_iteration or None, base_trace, shifted_trace).
     """
-    case = case or build_direct_counterexample()
     _, base = direct1d.run_direct(case.objective, case.lower, case.upper,
                                   case.epsilon, case.budget)
     return compare_direct_shift(case, base)

@@ -55,6 +55,9 @@ _CRITERION_OF = {
     ONE_STEP_BAYES: acq.EXPECTED_IMPROVEMENT,
 }
 
+# Criterion steps of a run when no budget is given.
+DEFAULT_BUDGET = 20
+
 # sigma-hat below this relative level counts as a zero-spread model.
 _ZERO_SPREAD_REL = 1e-13
 
@@ -99,15 +102,6 @@ class Selection:
     point: np.ndarray
     grid_index: int
     value: float
-    # relative gap to the runner-up criterion value (inf if no runner-up)
-    runner_up_gap: float
-
-
-def _relative_gap(best: float, second: float) -> float:
-    if not (math.isfinite(best) and math.isfinite(second)):
-        return math.inf
-    denom = max(abs(best), abs(second), 1e-300)
-    return (best - second) / denom
 
 
 def argmax_criterion(kind: str, posterior: SurrogatePosterior,
@@ -129,11 +123,8 @@ def select_best(values: np.ndarray, eligible: np.ndarray,
     if not eligible.any():
         raise AllCandidatesDegenerateError(
             "no non-degenerate unvisited candidate on the grid")
-    masked = np.where(eligible, values, -np.inf)
-    idx = int(np.argmax(masked))  # first occurrence = lowest index
-    best = float(masked[idx])
-    masked[idx] = -np.inf  # masked is np.where's fresh array
-    return Selection(points[idx], idx, best, _relative_gap(best, float(masked.max())))
+    idx = int(np.argmax(np.where(eligible, values, -np.inf)))  # first occurrence = lowest index
+    return Selection(points[idx], idx, float(values[idx]))
 
 
 @dataclass(frozen=True)
@@ -279,7 +270,7 @@ class AffineNormalization:
 
 
 def run(algorithm: str, objective: Callable, lower, upper,
-        initial_design: Optional[np.ndarray] = None, budget: int = 20,
+        initial_design: Optional[np.ndarray] = None, budget: int = DEFAULT_BUDGET,
         kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
         epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
     """Run a surrogate-guided optimization for a fixed evaluation budget."""
@@ -288,15 +279,17 @@ def run(algorithm: str, objective: Callable, lower, upper,
 
 
 def grid_run(algorithm: str, objective: Callable, lower, upper,
-             initial_design: Optional[np.ndarray] = None, budget: int = 20,
+             initial_design: Optional[np.ndarray] = None, budget: int = DEFAULT_BUDGET,
              kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
              epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
     """The sequential run loop behind ``run`` and the extended-numeral run.
 
-    It owns the design, the normalization, the model, the zero-spread
-    fallback, the aspiration level, the criterion argmax, the evaluations
-    and the records.  A negative budget or an epsilon that is not positive
-    raises ``ValueError`` before anything is evaluated.
+    It owns the design, the normalization, the model, the aspiration level,
+    the criterion argmax, the evaluations and the records.  A step whose
+    model has zero spread takes the lowest unvisited index instead of the
+    argmax; every step, that fallback too, makes one observation and one
+    record.  A negative budget or an epsilon that is not positive raises
+    ``ValueError`` before anything is evaluated.
     """
     if algorithm not in _CRITERION_OF:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -344,19 +337,18 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         params = posterior.parameters
         mu = normalize.restore(params.mu, shifted=True)
         sigma2 = normalize.restore(params.sigma2, power=2)
-        if params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu)):
+        zero_spread = params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu))
+        if zero_spread:
             # Criterion undefined everywhere: take the lowest unvisited index.
             sel = select_best(np.zeros(len(points)), ~visited, points)
-            value, best_f = observe(sel.point)
-            trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, None,
-                                             mu, sigma2, None, best_f,
-                                             degenerate_step=True))
-            continue
-        asp = acq.aspiration(history, params, epsilon)
-        sel = argmax_criterion(kind, posterior, asp, grid, visited)
-        criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
-        y_on = normalize.restore(asp.y_on, shifted=True)
+            criterion = y_on = None
+        else:
+            asp = acq.aspiration(history, params, epsilon)
+            sel = argmax_criterion(kind, posterior, asp, grid, visited)
+            criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
+            y_on = normalize.restore(asp.y_on, shifted=True)
         value, best_f = observe(sel.point)
-        trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value,
-                                         criterion, mu, sigma2, y_on, best_f))
+        trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, criterion,
+                                         mu, sigma2, y_on, best_f,
+                                         degenerate_step=zero_spread))
     return trace

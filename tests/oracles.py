@@ -123,10 +123,13 @@ def dense_l_potentially_optimal(deltas, values, j, eps, slack=1e-12,
 
 
 def dense_l_batch(deltas, values, eps, slack=1e-12, n_grid=20001,
-                  l_chunk=2000):
+                  l_chunk=128):
     """Vectorized dense-L oracle for a batch of equally sized partitions.
 
     deltas, values: arrays of shape (P, n). Returns a (P, n) boolean array.
+    The log grid is scanned ``l_chunk`` values of L at a time through
+    buffers allocated once, laid out (n, P, L) so that the minimum over
+    the intervals is an elementwise minimum of contiguous slices.
     """
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -134,13 +137,23 @@ def dense_l_batch(deltas, values, eps, slack=1e-12, n_grid=20001,
     f_min = values.min(axis=1)
     threshold = f_min - eps * np.abs(f_min) + slack
     ls = np.logspace(-8, 8, n_grid)
-    out = np.zeros((p, n), dtype=bool)
+    found = np.zeros((n, p), dtype=bool)
+    lb_buf, g_buf = np.empty((n, p, l_chunk)), np.empty((p, l_chunk))
+    ok_buf, below_buf = np.empty((2, n, p, l_chunk), dtype=bool)
     for start in range(0, n_grid, l_chunk):
         chunk = ls[start:start + l_chunk]
-        lb = values[:, None, :] - chunk[None, :, None] * deltas[:, None, :]
-        g = lb.min(axis=2)
-        ok = (lb <= g[:, :, None] + slack) & (lb <= threshold[:, None, None])
-        out |= ok.any(axis=1)
+        width = len(chunk)
+        lb, g = lb_buf[..., :width], g_buf[:, :width]
+        ok, below = ok_buf[..., :width], below_buf[..., :width]
+        np.multiply(chunk, deltas.T[:, :, None], out=lb)
+        np.subtract(values.T[:, :, None], lb, out=lb)  # lower bounds f_i - L*d_i
+        np.min(lb, axis=0, out=g)
+        g += slack
+        np.less_equal(lb, g, out=ok)
+        np.less_equal(lb, threshold[:, None], out=below)
+        ok &= below
+        found |= ok.any(axis=2)
+    out = found.T.copy()
     # breakpoint candidates differ per partition; finish row by row
     for row in range(p):
         bp = breakpoint_ls(deltas[row], values[row], eps)

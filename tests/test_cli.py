@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from scaleopt import cli, direct1d, harness, objectives
+from scaleopt import cli, direct1d, harness, objectives, optimizer
 
 
 def run_cli(args):
@@ -262,7 +262,7 @@ class TestDirectDemo:
         assert "np.float64" not in out
 
 
-def test_direct_defaults_have_one_home():
+def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     params = inspect.signature(harness.build_direct_counterexample).parameters
     assert params["epsilon"].default == direct1d.DEFAULT_EPSILON
     assert params["budget"].default == harness.COUNTEREXAMPLE_BUDGET
@@ -271,3 +271,18 @@ def test_direct_defaults_have_one_home():
     assert demo.direct_epsilon == direct1d.DEFAULT_EPSILON
     assert demo.budget == harness.COUNTEREXAMPLE_BUDGET
     assert parser.parse_args(["homogeneity"]).direct_epsilon == direct1d.DEFAULT_EPSILON
+    # homogeneity runs the counterexample for its own budget unless --budget is given
+    build, budgets = harness.build_direct_counterexample, []
+    monkeypatch.setattr(harness, "build_direct_counterexample",
+                        lambda **kwargs: budgets.append(kwargs["budget"]) or build(**kwargs))
+    assert run_cli(["homogeneity", "--algorithm", "direct"]) == cli.EXIT_MISMATCH
+    base = capsys.readouterr().out.split("base iterations:")[1].split("shifted")[0]
+    assert len(base.split()) == 1 + harness.COUNTEREXAMPLE_BUDGET  # header and rows
+    assert run_cli(["homogeneity", "--algorithm", "direct", "--budget", "9"]) == cli.EXIT_MISMATCH
+    assert budgets == [harness.COUNTEREXAMPLE_BUDGET, 9]
+    # the grid algorithms keep theirs
+    for run in (optimizer.run, optimizer.grid_run):
+        assert inspect.signature(run).parameters["budget"].default == optimizer.DEFAULT_BUDGET
+    assert run_cli(["run", "--output", str(tmp_path / "t")]) == cli.EXIT_OK
+    rows = (tmp_path / "t.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 5 + optimizer.DEFAULT_BUDGET

@@ -320,6 +320,26 @@ class TestGridCorrelations:
             np.testing.assert_allclose(cached[1], plain[1], rtol=1e-10, atol=0)
             assert np.array_equal(cached[2], plain[2])
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    def test_both_entry_points_give_the_same_posterior(self, kernel, estimator):
+        # without a run's state the posterior factors S through a state over no grid points
+        rng = np.random.default_rng(23)
+        grid = rng.uniform(0, 1, size=(200, 1))
+        histories = self.histories(rng, 8, 1)[1:]
+        # near-duplicate pairs, on which the squared-exponential S needs jitter
+        near = np.array([0.1, 0.1 + 1e-9, 0.5, 0.5 + 3e-9, 0.9, 0.3])
+        histories += [history_1d(near[:k], rng.uniform(-1, 1, k)) for k in range(2, 7)]
+        jittered = 0
+        for history in histories:
+            plain = build_posterior(history, kernel, estimator)
+            stated = build_posterior(history, kernel, estimator, GridCorrelations(grid, kernel))
+            assert plain.parameters == stated.parameters and plain.jitter == stated.jitter
+            for a, b in zip(plain.moments_grid(grid), stated.moments_grid(grid)):
+                assert a.tobytes() == b.tobytes()
+            jittered += plain.jitter > 0
+        assert jittered == (5 if kernel.family == "squared-exponential" else 0)
+
     def test_used_only_for_its_grid_and_kernel(self, monkeypatch):
         rng = np.random.default_rng(9)
         grid = rng.uniform(0, 1, size=(50, 1))
@@ -368,6 +388,7 @@ class TestGridCorrelations:
         assert one.jitter == two.jitter
 
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
+        # only the new point's own pivot decides between an append and a bulk factor
         calls = []
         monkeypatch.setattr(gp, "cho_factor",
                             lambda *args, **kw: calls.append(args) or cho_factor(*args, **kw))
@@ -384,9 +405,9 @@ class TestGridCorrelations:
         assert len(calls) == 2
         (bulk, _), _ = gp._factor_with_jitter(correlation_matrix(h, kernel))
         assert np.array_equal(cache.factor, np.tril(bulk))
-        # the factor keeps that pivot, so the next point is factored in bulk too
+        # a far point appends again, onto the factor that holds that small pivot
         cache.rows(h.with_observation([0.2], 1.5))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_history_that_does_not_extend_the_cache_is_rejected(self):
         rng = np.random.default_rng(13)

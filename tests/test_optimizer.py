@@ -79,7 +79,6 @@ class TestArgmax:
         sel = opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid,
                                    posterior.history.visited(grid.points))
         assert sel.grid_index == 1
-        assert sel.runner_up_gap == 0.0
 
     def test_all_degenerate_raises(self):
         h = EvaluationHistory([0.0], [1.0], [[0.0], [1.0]], [1.0, 2.0])

@@ -80,6 +80,46 @@ def test_rule_constants_stay_home(path):
     assert name_references(path.read_text(), foreign) == set()
 
 
+# S is factored on one path: each name is used only inside its one caller.
+FACTOR_PATH = {("cho_factor", "gp._factor_with_jitter"),
+               ("_factor_with_jitter", "gp.GridCorrelations._refactor")}
+FACTOR_NAMES = {name for name, _ in FACTOR_PATH}
+
+
+def use_sites(source: str, module: str, names) -> set:
+    """(name, enclosing module.class.function) for each use of ``names``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Name) and child.id in names:
+                found.add((child.id, scope))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.add((child.attr, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_factor_rule_catches_a_second_call_site():
+    source = ("def _factor_with_jitter(s):\n    return cho_factor(s)\n"
+              "class GridCorrelations:\n"
+              "    def _refactor(self):\n        return _factor_with_jitter(1)\n"
+              "    def rows(self):\n        return linalg.cho_factor(2)\n")
+    second = ("cho_factor", "gp.GridCorrelations.rows")
+    assert use_sites(source, "gp", FACTOR_NAMES) == FACTOR_PATH | {second}
+
+
+def test_one_factor_path():
+    sites = set().union(*(use_sites(path.read_text(), path.stem, FACTOR_NAMES)
+                          for path in SOURCES))
+    assert sites == FACTOR_PATH
+
+
 def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     # The benchmark's traced run patches package names by attribute; a name
     # it patches that the package no longer has would break only that run.
