@@ -34,12 +34,12 @@ class AspirationLevel:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 def aspiration(history: EvaluationHistory, parameters: ModelParameters,
-               epsilon: float = 0.1) -> AspirationLevel:
+               epsilon: float) -> AspirationLevel:
     """Aspiration level min_i y_i - epsilon * sigma-hat."""
     return AspirationLevel(float(history.values.min()) - epsilon * parameters.sigma,
                            epsilon)
@@ -58,13 +58,14 @@ def normal_pdf(t):
 def ei_closed_form(m, s, y_on):
     """Vectorized closed-form EI for given posterior moments.
 
-    Entries with s == 0 get the deterministic limit max(y_on - m, 0).
+    Entries with s == 0 get the deterministic limit max(y_on - m, 0), and
+    those whose u overflows to -inf the limit 0.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         u = np.where(s > 0, (y_on - m) / np.where(s > 0, s, 1.0), 0.0)
-    ei = s * (u * normal_cdf(u) + normal_pdf(u))
+        ei = np.where(u > -np.inf, s * (u * normal_cdf(u) + normal_pdf(u)), 0.0)
     return np.where(s > 0, ei, np.maximum(y_on - m, 0.0))
 
 

@@ -14,9 +14,8 @@ import csv
 import json
 import sys
 
-from . import direct1d, harness, objectives, optimizer
+from . import direct1d, gp, harness, objectives, optimizer
 from .errors import ConfigError, ScaleoptError
-from .gp import CorrelationKernel
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -29,14 +28,18 @@ ALGORITHMS = {"p": optimizer.P_ALGORITHM, "ei": optimizer.ONE_STEP_BAYES}
 def _add_common_run_flags(p):
     p.add_argument("--objective", default="sin3x2",
                    choices=sorted(objectives.BUILTIN_OBJECTIVES))
-    p.add_argument("--kernel", default="exponential",
-                   choices=["exponential", "squared-exponential"])
-    p.add_argument("--kernel-c", type=float, default=5.0)
-    p.add_argument("--estimator", default="mle", choices=["sample", "mle"])
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--budget", type=int)  # None: the algorithm's own default
-    p.add_argument("--grid-resolution", type=int, default=1001)
+    p.add_argument("--kernel", choices=gp.KERNEL_FAMILIES)
+    p.add_argument("--kernel-c", type=float)
+    p.add_argument("--estimator", choices=gp.ESTIMATORS)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--grid-resolution", type=int)
     p.add_argument("--config", help="JSON file with defaults; flags override")
+
+
+def _given(**values) -> dict:
+    """The values the user gave, those not None, so each default keeps one home."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,13 +74,10 @@ def _apply_config_file(parser, args, argv):
 
 def _build_kwargs(args):
     objective, (lower, upper) = objectives.get_objective(args.objective)
-    grid = optimizer.CandidateGrid.for_region([lower], [upper],
-                                              args.grid_resolution)
-    kernel = CorrelationKernel(args.kernel, args.kernel_c)
-    budget = optimizer.DEFAULT_BUDGET if args.budget is None else args.budget
-    return objective, lower, upper, dict(
-        budget=budget, kernel=kernel, estimator=args.estimator,
-        epsilon=args.epsilon, grid=grid)
+    grid = optimizer.CandidateGrid.for_region([lower], [upper], args.grid_resolution)
+    kernel = gp.CorrelationKernel(**_given(family=args.kernel, c=args.kernel_c))
+    return objective, lower, upper, dict(kernel=kernel, grid=grid, **_given(
+        budget=args.budget, estimator=args.estimator, epsilon=args.epsilon))
 
 
 def _write(path, text):
@@ -99,8 +99,8 @@ def cmd_run(args) -> int:
 
 def cmd_homogeneity(args) -> int:
     if args.algorithm == "direct":
-        budget = harness.COUNTEREXAMPLE_BUDGET if args.budget is None else args.budget
-        case = harness.build_direct_counterexample(epsilon=args.direct_epsilon, budget=budget)
+        case = harness.build_direct_counterexample(epsilon=args.direct_epsilon,
+                                                   **_given(budget=args.budget))
         mismatch, base, shifted = harness.direct_homogeneity_check(case)
         print(f"translation shift: {case.shift!r} "
               f"(threshold delta_f={case.delta_f!r}, eps={case.epsilon})")
@@ -124,9 +124,8 @@ def cmd_homogeneity(args) -> int:
 
 
 def cmd_example_fig1(args) -> int:
-    data = harness.fig1_reproduction(estimator=args.estimator,
-                                     epsilon=args.epsilon,
-                                     resolution=args.grid_resolution)
+    data = harness.fig1_reproduction(**_given(
+        estimator=args.estimator, epsilon=args.epsilon, resolution=args.grid_resolution))
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         cols = ["x", "m_f", "s_f", "crit_f", "m_phi", "s_phi", "crit_phi"]
@@ -180,9 +179,9 @@ def make_parser():
     p_hom.set_defaults(func=cmd_homogeneity)
 
     p_fig = sub.add_parser("example-fig1", help="five-point example data")
-    p_fig.add_argument("--estimator", default="mle", choices=["sample", "mle"])
-    p_fig.add_argument("--epsilon", type=float, default=0.1)
-    p_fig.add_argument("--grid-resolution", type=int, default=1001)
+    p_fig.add_argument("--estimator", choices=gp.ESTIMATORS)
+    p_fig.add_argument("--epsilon", type=float)
+    p_fig.add_argument("--grid-resolution", type=int)
     p_fig.add_argument("--output", default="fig1.csv")
     p_fig.set_defaults(func=cmd_example_fig1)
 

@@ -27,6 +27,11 @@ from .errors import (
     InsufficientDataError,
 )
 
+# The kernel families and estimators the model knows; the estimator when none is given.
+KERNEL_FAMILIES = ("exponential", "squared-exponential")
+ESTIMATORS = ("mle", "sample")
+DEFAULT_ESTIMATOR = "mle"
+
 # Minimum pairwise distance (max-norm) between history points.
 DUPLICATE_THRESHOLD = 1e-12
 
@@ -66,13 +71,11 @@ class EvaluationHistory:
             raise ValueError("lower/upper must be 1-d arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("region bounds must satisfy lower < upper")
-        if points.ndim != 2 or points.shape[1] != lower.size:
-            raise ValueError("points must have shape (n, d)")
         if values.shape != (points.shape[0],):
             raise ValueError("values must have one entry per point")
         if points.shape[0] < 1:
             raise ValueError("history needs at least one observation")
-        _check_inside(points, values, lower, upper)
+        check_inside(points, lower, upper, values)
         same = same_point(points, points)
         np.fill_diagonal(same, False)
         if same.any():
@@ -91,9 +94,7 @@ class EvaluationHistory:
         """This history and one more observation; only the new point is checked."""
         point = np.atleast_1d(np.asarray(point, dtype=float))[None, :]
         value = np.atleast_1d(float(value))
-        if point.shape[1:] != self.lower.shape:
-            raise ValueError("points must have shape (n, d)")
-        _check_inside(point, value, self.lower, self.upper)
+        check_inside(point, self.lower, self.upper, value)
         same = same_point(self.points, point)
         if same.any():
             raise _duplicates(int(np.argmax(same)), self.n)
@@ -103,11 +104,14 @@ class EvaluationHistory:
         return extended
 
 
-def _check_inside(points, values, lower, upper):
+def check_inside(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, values=()):
+    """A history's region rule: finite values, finite (n, d) points in [lower, upper] to 1e-12."""
+    if points.ndim != 2 or points.shape[1] != lower.size:
+        raise ValueError("points must have shape (n, d)")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise ValueError("points and values must be finite")
     if (points < lower - 1e-12).any() or (points > upper + 1e-12).any():
-        raise ValueError("history points must lie inside the region")
+        raise ValueError("points must lie inside the region")
 
 
 def _duplicates(i, j) -> DuplicatePointsError:
@@ -131,14 +135,14 @@ def same_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CorrelationKernel:
     """Stationary correlation function rho(x, x')."""
 
-    family: str = "exponential"  # or "squared-exponential"
+    family: str = "exponential"  # one of KERNEL_FAMILIES
     c: float = 5.0
 
     def __post_init__(self):
-        if self.family not in ("exponential", "squared-exponential"):
+        if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (self.c > 0):
-            raise ValueError("decay rate c must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError("decay rate c must be positive and finite")
 
     def of_distance(self, r):
         """Correlation as a function of the Euclidean distance r >= 0."""
@@ -310,8 +314,8 @@ class SurrogatePosterior:
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
-                 estimator: str = "mle", grid_correlations: Optional[GridCorrelations] = None):
-        if estimator not in ("mle", "sample"):
+                 estimator: str, grid_correlations: Optional[GridCorrelations] = None):
+        if estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
         self.kernel = kernel
@@ -359,7 +363,8 @@ class SurrogatePosterior:
         return means, variances, clamped
 
 
-def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel, estimator: str = "mle",
+def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,
+                    estimator: str = DEFAULT_ESTIMATOR,
                     grid_correlations: Optional[GridCorrelations] = None) -> SurrogatePosterior:
     """Estimate parameters and construct the posterior in one step."""
     return SurrogatePosterior(history, kernel, estimator, grid_correlations)

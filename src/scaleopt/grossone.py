@@ -23,7 +23,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from .errors import (
     UnsupportedDivisionError,
     UnsupportedScaleError,
 )
-from .gp import CorrelationKernel
 from .optimizer import (
     P_ALGORITHM,
     AffineNormalization,
-    CandidateGrid,
     exact_value,
     grid_run,
 )
@@ -293,12 +290,8 @@ class StepCertificate:
     collapsed: bool
 
 
-def scaled_criterion_run(objective, a, b, lower, upper,
-                         initial_design=None, budget: int = 15,
-                         kernel: Optional[CorrelationKernel] = None,
-                         estimator: str = "mle", epsilon: float = 0.1,
-                         grid: Optional[CandidateGrid] = None,
-                         algorithm: str = P_ALGORITHM):
+def scaled_criterion_run(objective, a, b, lower, upper, algorithm: str = P_ALGORITHM,
+                         **options):
     """Run ``algorithm`` on the extended-numeral values z = a*f(x) + b.
 
     f may return numerals or numbers; a number is read by
@@ -309,7 +302,8 @@ def scaled_criterion_run(objective, a, b, lower, upper,
     (``optimizer.grid_run``), whose own normalization leaves it unchanged.
     For a positive monomial a the model therefore sees bit for bit what a
     run on f sees.  The trace is in the normalized frame, for finite and
-    extended scalings alike, so it does not depend on a and b.
+    extended scalings alike, so it does not depend on a and b.  ``options``
+    and their defaults are ``optimizer.grid_run``'s.
 
     Returns (trace, certificates), one certificate per step.
     """
@@ -331,7 +325,6 @@ def scaled_criterion_run(objective, a, b, lower, upper,
                                 f"kept a term outside grade 0")
         return h.to_real()
 
-    trace = grid_run(algorithm, collapsed, lower, upper, initial_design,
-                     budget, kernel, estimator, epsilon, grid)
+    trace = grid_run(algorithm, collapsed, lower, upper, **options)
     # Every observation collapsed exactly, or the run would have raised.
     return trace, [StepCertificate(r.iteration, 0.0, True) for r in trace.steps]

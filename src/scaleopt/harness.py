@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acquisition as acq, direct1d, grossone, objectives as obj, optimizer
 from .errors import ConfigError, PreconditionError
-from .gp import CorrelationKernel, EvaluationHistory, build_posterior
+from .gp import DEFAULT_ESTIMATOR, CorrelationKernel, EvaluationHistory, build_posterior
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,7 @@ def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
 
 
 def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
-                      budget: int = 25, kernel: Optional[CorrelationKernel] = None,
-                      estimator: str = "mle", epsilon: float = 0.1,
-                      grid=None, initial_design=None) -> ComparisonReport:
+                      **options) -> ComparisonReport:
     """Compare a base run against the run on a*f + b.
 
     a and b may be floats or extended numerals (numeral strings accepted);
@@ -86,23 +84,23 @@ def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
     before anything is evaluated.  The base run is ``optimizer.run`` on f;
     the scaled run is ``grossone.scaled_criterion_run`` for every scaling,
     finite, infinite or infinitesimal, so the scaled values are never
-    rounded and the scaled trace is in the normalized frame.  The
-    comparison reads only grid indices.
+    rounded and the scaled trace is in the normalized frame.  Both take
+    ``options``, with ``optimizer.grid_run``'s defaults.  The comparison
+    reads only grid indices.
     """
     a_num = grossone.positive_scale(a)
     b_num = grossone.as_numeral(b)
-    kwargs = dict(budget=budget, kernel=kernel, estimator=estimator,
-                  epsilon=epsilon, grid=grid, initial_design=initial_design)
-    base = optimizer.run(algorithm, objective, lower, upper, **kwargs)
+    base = optimizer.run(algorithm, objective, lower, upper, **options)
     scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num, lower, upper,
-                                              algorithm=algorithm, **kwargs)
+                                              algorithm=algorithm, **options)
     return compare_traces(base, scaled, algorithm, a, b)
 
 
 # -- five-point planning example --------------------------------------
 
-def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
-                      resolution: int = 1001):
+def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
+                      epsilon: float = optimizer.DEFAULT_EPSILON,
+                      resolution: Optional[int] = None):
     """One planning step of the P-algorithm on the five-point example data.
 
     Evaluates posterior mean, standard deviation and the improvement
@@ -115,8 +113,8 @@ def fig1_reproduction(estimator: str = "mle", epsilon: float = 0.1,
     f_vals = np.array(obj.FIG1_F_VALUES)
     phi_exact = obj.FIG1_A * f_vals + obj.FIG1_B
     printed_dev = float(np.abs(np.array(obj.FIG1_PHI_VALUES) - phi_exact).max())
-    kernel = CorrelationKernel("exponential", obj.FIG1_KERNEL_C)
-    xs = optimizer.CandidateGrid([0.0], [1.0], resolution).points
+    kernel = CorrelationKernel(c=obj.FIG1_KERNEL_C)  # the exponential family
+    xs = optimizer.CandidateGrid.for_region([0.0], [1.0], resolution).points
 
     out = {"x": xs.ravel(), "printed_phi_deviation": printed_dev,
            "a": obj.FIG1_A, "b": obj.FIG1_B}

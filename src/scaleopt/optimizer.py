@@ -39,11 +39,14 @@ from .errors import (
     ObjectiveEvaluationError,
 )
 from .gp import (
+    DEFAULT_ESTIMATOR,
+    ESTIMATORS,
     CorrelationKernel,
     EvaluationHistory,
     GridCorrelations,
     SurrogatePosterior,
     build_posterior,
+    check_inside,
     same_point,
 )
 
@@ -55,8 +58,9 @@ _CRITERION_OF = {
     ONE_STEP_BAYES: acq.EXPECTED_IMPROVEMENT,
 }
 
-# Criterion steps of a run when no budget is given.
+# Criterion steps and aspiration margin of a run when none is given.
 DEFAULT_BUDGET = 20
+DEFAULT_EPSILON = 0.1
 
 # sigma-hat below this relative level counts as a zero-spread model.
 _ZERO_SPREAD_REL = 1e-13
@@ -86,9 +90,8 @@ class CandidateGrid:
 
     @classmethod
     def for_region(cls, lower, upper, resolution: Optional[int] = None) -> "CandidateGrid":
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
         if resolution is None:
-            resolution = 1001 if lower.size == 1 else 101
+            resolution = 1001 if np.size(lower) == 1 else 101
         return cls(lower, upper, resolution)
 
     @property
@@ -120,10 +123,12 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
 def select_best(values: np.ndarray, eligible: np.ndarray,
                 points: np.ndarray) -> Selection:
     """The eligible candidate with the largest value, lowest index on exact ties."""
-    if not eligible.any():
-        raise AllCandidatesDegenerateError(
-            "no non-degenerate unvisited candidate on the grid")
     idx = int(np.argmax(np.where(eligible, values, -np.inf)))  # first occurrence = lowest index
+    if not eligible[idx]:  # no eligible candidate, or every eligible value is -inf
+        if not eligible.any():
+            raise AllCandidatesDegenerateError(
+                "no non-degenerate unvisited candidate on the grid")
+        idx = int(np.argmax(eligible))
     return Selection(points[idx], idx, float(values[idx]))
 
 
@@ -254,83 +259,80 @@ class AffineNormalization:
     def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
         """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
 
-        A result beyond float64 range rounds to +-inf, as IEEE rounding does.
-        The one ``int / int`` rounds correctly, as ``float(Fraction)`` does.
+        A result beyond float64 range (or an infinite v) rounds to +-inf, as IEEE
+        rounding does; the one ``int / int`` rounds correctly, as ``float(Fraction)`` does.
         """
-        num, den = v.as_integer_ratio()
         scale = self.scale or 1
-        num, den = num * scale.numerator ** power, den * scale.denominator ** power
-        if shifted:
-            num = num * self.anchor.denominator + self.anchor.numerator * den
-            den *= self.anchor.denominator
         try:
+            num, den = v.as_integer_ratio()
+            num, den = num * scale.numerator ** power, den * scale.denominator ** power
+            if shifted:
+                num = num * self.anchor.denominator + self.anchor.numerator * den
+                den *= self.anchor.denominator
             return num / den
-        except OverflowError:
-            return math.inf if num > 0 else -math.inf
+        except OverflowError:  # s > 0 and |y_0| is finite, so the result has v's sign
+            return math.copysign(math.inf, v)
 
 
-def run(algorithm: str, objective: Callable, lower, upper,
-        initial_design: Optional[np.ndarray] = None, budget: int = DEFAULT_BUDGET,
-        kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
-        epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
-    """Run a surrogate-guided optimization for a fixed evaluation budget."""
-    return grid_run(algorithm, objective, lower, upper, initial_design, budget,
-                    kernel, estimator, epsilon, grid)
+def run(algorithm: str, objective: Callable, lower, upper, **options) -> OptimizationTrace:
+    """Run a surrogate-guided optimization; ``options`` and their defaults are ``grid_run``'s."""
+    return grid_run(algorithm, objective, lower, upper, **options)
 
 
 def grid_run(algorithm: str, objective: Callable, lower, upper,
              initial_design: Optional[np.ndarray] = None, budget: int = DEFAULT_BUDGET,
-             kernel: Optional[CorrelationKernel] = None, estimator: str = "mle",
-             epsilon: float = 0.1, grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
+             kernel: CorrelationKernel = CorrelationKernel(),
+             estimator: str = DEFAULT_ESTIMATOR, epsilon: float = DEFAULT_EPSILON,
+             grid: Optional[CandidateGrid] = None) -> OptimizationTrace:
     """The sequential run loop behind ``run`` and the extended-numeral run.
 
     It owns the design, the normalization, the model, the aspiration level,
     the criterion argmax, the evaluations and the records.  A step whose
     model has zero spread takes the lowest unvisited index instead of the
     argmax; every step, that fallback too, makes one observation and one
-    record.  A negative budget or an epsilon that is not positive raises
-    ``ValueError`` before anything is evaluated.
+    record.  Every setting is checked before anything is evaluated, the design
+    by ``EvaluationHistory``'s rules and the grid by its region rule.
     """
     if algorithm not in _CRITERION_OF:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    kind = _CRITERION_OF[algorithm]
-    kernel = kernel or CorrelationKernel()
-    grid = grid or CandidateGrid.for_region(lower, upper)
+    acq.AspirationLevel(-math.inf, epsilon)  # its rule for epsilon
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator tag {estimator!r}")
     if initial_design is None:
         initial_design = default_initial_design(lower, upper)
     initial_design = np.atleast_2d(np.asarray(initial_design, dtype=float))
+    design = EvaluationHistory(lower, upper, initial_design, np.zeros(len(initial_design)))
+    grid = grid or CandidateGrid.for_region(lower, upper)
+    points = grid.points
+    check_inside(points, design.lower, design.upper)
+    kind = _CRITERION_OF[algorithm]
 
     trace = OptimizationTrace(algorithm)
     normalize = AffineNormalization()
-    history = None
     best = math.inf
-    points = grid.points
-    correlations = GridCorrelations(points, kernel, len(initial_design) + budget)
+    correlations = GridCorrelations(points, kernel, design.n + budget)
     visited = np.zeros(len(points), dtype=bool)  # history.visited(points), kept by observe
 
     def observe(point):
-        nonlocal history, best
+        nonlocal best
         value = exact_value(objective(point if point.size > 1 else point[0]), point)
         best = min(best, value)
         try:
             h = float(normalize(value))
         except OverflowError:  # |y - y_0|/s beyond float64 range
             raise ObjectiveEvaluationError(point, float(value)) from None
-        if history is None:
-            history = EvaluationHistory(lower, upper, point[None, :], [h])
-        else:
-            history = history.with_observation(point, h)
         visited[same_point(points, point[None, :])[:, 0]] = True
-        return float(value), float(best)
+        return h, float(value), float(best)
 
-    for point in initial_design:
-        value, best_f = observe(point)
+    values = []
+    for point in design.points:
+        h, value, best_f = observe(point)
+        values.append(h)
         trace.records.append(TraceRecord(0, -1, point, value, None, None, None,
                                          None, best_f))
+    history = EvaluationHistory(lower, upper, design.points, values)
 
     for it in range(1, budget + 1):
         posterior = build_posterior(history, kernel, estimator, correlations)
@@ -347,7 +349,8 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
             sel = argmax_criterion(kind, posterior, asp, grid, visited)
             criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
             y_on = normalize.restore(asp.y_on, shifted=True)
-        value, best_f = observe(sel.point)
+        h, value, best_f = observe(sel.point)
+        history = history.with_observation(sel.point, h)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, criterion,
                                          mu, sigma2, y_on, best_f,
                                          degenerate_step=zero_spread))

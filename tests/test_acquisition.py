@@ -78,8 +78,9 @@ class TestAspiration:
     def test_epsilon_must_be_positive(self):
         h = fig1_history()
         params = estimate_mle(h, KERNEL)
-        with pytest.raises(ValueError):
-            acq.aspiration(h, params, 0.0)
+        for epsilon in (0.0, math.nan, math.inf):  # and finite
+            with pytest.raises(ValueError):
+                acq.aspiration(h, params, epsilon)
 
 
 class TestPCriterion:
@@ -126,6 +127,11 @@ class TestPCriterion:
 
 
 class TestExpectedImprovement:
+    def test_u_overflowing_to_minus_inf_has_limit_zero(self):
+        # (y_on - m)/s overflows to -inf, where u*Phi(u) would be -inf*0 = nan
+        ei = acq.ei_closed_form(np.array([0.0, 0.0]), np.array([1e-300, 1.0]), -1e10)
+        assert ei[0] == 0.0 and np.isfinite(ei[1])
+
     def test_deterministic_limit(self):
         assert acq.ei_closed_form(1.0, 0.0, 3.0) == pytest.approx(2.0)
         assert acq.ei_closed_form(5.0, 0.0, 3.0) == 0.0

@@ -147,6 +147,24 @@ class TestHomogeneity:
     pytest.param(["run", "--budget=-3"], None, cli.EXIT_CONFIG, id="run-budget-negative"),
     pytest.param(["homogeneity", "--budget=-3"], None, cli.EXIT_CONFIG,
                  id="homogeneity-budget-negative"),
+    # epsilon and the kernel rate must be finite too
+    pytest.param(["run", "--epsilon", "inf"], None, cli.EXIT_CONFIG, id="run-epsilon-inf"),
+    pytest.param(["homogeneity", "--epsilon", "inf"], None, cli.EXIT_CONFIG,
+                 id="homogeneity-epsilon-inf"),
+    pytest.param(["run", "--algorithm", "ei", "--epsilon", "inf"], None, cli.EXIT_CONFIG,
+                 id="run-ei-epsilon-inf"),
+    pytest.param(["homogeneity", "--algorithm", "ei", "--epsilon", "inf"], None,
+                 cli.EXIT_CONFIG, id="homogeneity-ei-epsilon-inf"),
+    pytest.param(["example-fig1", "--epsilon", "inf"], None, cli.EXIT_CONFIG,
+                 id="fig1-epsilon-inf"),
+    pytest.param(["run", "--kernel-c", "inf"], None, cli.EXIT_CONFIG, id="run-kernel-c-inf"),
+    # a finite epsilon whose aspiration level overflows: EI takes its limit 0
+    # and P ranks every candidate -inf, so each step takes the lowest
+    # unvisited index
+    pytest.param(["run", "--algorithm", "ei", "--epsilon", "1e308", "--budget", "3"], None,
+                 cli.EXIT_OK, id="run-ei-epsilon-huge"),
+    pytest.param(["run", "--objective", "gramacy-lee", "--epsilon", "1e308", "--budget", "3"],
+                 None, cli.EXIT_OK, id="run-aspiration-overflow"),
     # numeral literals must fit in float64
     pytest.param(["homogeneity", "--a", "1e400", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-a-overflow"),
@@ -175,7 +193,7 @@ def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
-    if args[0] == "run":
+    if args[0] in ("run", "example-fig1"):
         args = args + ["--output", str(tmp_path / "t")]
     assert run_cli(args) == code
     if code == cli.EXIT_CONFIG:
@@ -271,18 +289,30 @@ def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     assert demo.direct_epsilon == direct1d.DEFAULT_EPSILON
     assert demo.budget == harness.COUNTEREXAMPLE_BUDGET
     assert parser.parse_args(["homogeneity"]).direct_epsilon == direct1d.DEFAULT_EPSILON
-    # homogeneity runs the counterexample for its own budget unless --budget is given
+    # homogeneity runs the counterexample for the builder's own budget unless
+    # --budget is given, which alone it passes on
     build, budgets = harness.build_direct_counterexample, []
     monkeypatch.setattr(harness, "build_direct_counterexample",
-                        lambda **kwargs: budgets.append(kwargs["budget"]) or build(**kwargs))
+                        lambda **kwargs: budgets.append(kwargs.get("budget")) or build(**kwargs))
     assert run_cli(["homogeneity", "--algorithm", "direct"]) == cli.EXIT_MISMATCH
     base = capsys.readouterr().out.split("base iterations:")[1].split("shifted")[0]
     assert len(base.split()) == 1 + harness.COUNTEREXAMPLE_BUDGET  # header and rows
     assert run_cli(["homogeneity", "--algorithm", "direct", "--budget", "9"]) == cli.EXIT_MISMATCH
-    assert budgets == [harness.COUNTEREXAMPLE_BUDGET, 9]
-    # the grid algorithms keep theirs
-    for run in (optimizer.run, optimizer.grid_run):
-        assert inspect.signature(run).parameters["budget"].default == optimizer.DEFAULT_BUDGET
+    assert budgets == [None, 9]
+    # the grid algorithms keep theirs, in grid_run's signature alone: its
+    # callers forward their options, and the CLI's run flags default to None
+    # and pass on only the values given
+    grid_run = inspect.signature(optimizer.grid_run).parameters
+    assert grid_run["budget"].default == optimizer.DEFAULT_BUDGET
+    for command in ("run", "homogeneity", "example-fig1"):
+        args = vars(parser.parse_args([command]))
+        settings = {"budget", "kernel", "kernel_c", "estimator", "epsilon", "grid_resolution"}
+        assert {args[k] for k in settings & set(args)} == {None}
+    run, options = optimizer.run, []
+    monkeypatch.setattr(optimizer, "run",
+                        lambda *args, **kwargs: options.append(sorted(kwargs)) or run(*args, **kwargs))
     assert run_cli(["run", "--output", str(tmp_path / "t")]) == cli.EXIT_OK
     rows = (tmp_path / "t.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 5 + optimizer.DEFAULT_BUDGET
+    assert run_cli(["run", "--epsilon", "0.2", "--output", str(tmp_path / "t")]) == cli.EXIT_OK
+    assert options == [["grid", "kernel"], ["epsilon", "grid", "kernel"]]

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from scaleopt import acquisition as acq
 from scaleopt import gp
 from scaleopt import optimizer as opt
-from scaleopt.errors import AllCandidatesDegenerateError, ObjectiveEvaluationError
+from scaleopt.errors import (
+    AllCandidatesDegenerateError,
+    DuplicatePointsError,
+    ObjectiveEvaluationError,
+)
 from scaleopt.gp import CorrelationKernel, EvaluationHistory, build_posterior
+from scaleopt.grossone import scaled_criterion_run
 from scaleopt.harness import homogeneity_check
 from scaleopt.objectives import get_objective, sin3x2
 
@@ -88,6 +93,52 @@ class TestArgmax:
         with pytest.raises(AllCandidatesDegenerateError):
             opt.argmax_criterion(acq.P_CRITERION, posterior, asp, grid,
                                  posterior.history.visited(grid.points))
+
+    def test_every_eligible_value_minus_inf_takes_lowest_eligible_index(self):
+        # an aspiration level of -inf ranks every candidate -inf; index 0 is
+        # not eligible and must not be chosen
+        values = np.array([-np.inf, -np.inf, 5.0, -np.inf])
+        eligible = np.array([False, False, False, True])
+        sel = opt.select_best(values, eligible, np.arange(4.0)[:, None])
+        assert sel.grid_index == 3 and sel.value == -np.inf
+
+
+# (options, lower, upper): each is rejected before the objective is called.
+BAD_SETTINGS = {
+    "unknown-algorithm": (dict(algorithm="newton"), [-1.0], [1.0]),
+    "negative-budget": (dict(budget=-1), [-1.0], [1.0]),
+    "epsilon-zero": (dict(epsilon=0.0), [-1.0], [1.0]),
+    "epsilon-nan": (dict(epsilon=math.nan), [-1.0], [1.0]),
+    "epsilon-inf": (dict(epsilon=math.inf), [-1.0], [1.0]),
+    "unknown-estimator": (dict(estimator="median"), [-1.0], [1.0]),
+    "empty-design": (dict(initial_design=np.empty((0, 1))), [-1.0], [1.0]),
+    "design-wrong-dimension": (dict(initial_design=[[0.0, 0.5]]), [-1.0], [1.0]),
+    "design-duplicate": (dict(initial_design=[[-0.5], [0.5], [0.5]]), [-1.0], [1.0]),
+    "design-outside": (dict(initial_design=[[0.0], [0.5], [3.0]]), [-1.0], [1.0]),
+    "reversed-region": ({}, [1.0], [-1.0]),
+    "grid-outside": (dict(grid=opt.CandidateGrid.for_region([0.0], [2.0], 11)),
+                     [-1.0], [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
+def test_bad_setting_raises_before_evaluating(name):
+    options, lower, upper = BAD_SETTINGS[name]
+    options = dict(options)
+    algorithm = options.pop("algorithm", opt.P_ALGORITHM)
+    calls = []
+    with pytest.raises((ValueError, DuplicatePointsError)):
+        opt.run(algorithm, lambda x: calls.append(x) or sin3x2(x), lower, upper, **options)
+    assert calls == []
+
+
+def test_entry_points_take_the_default_budget():
+    objective, (lo, hi) = get_objective("sin3x2")
+    runs = [opt.run(opt.P_ALGORITHM, objective, [lo], [hi]),
+            scaled_criterion_run(objective, 2.0, 1.0, [lo], [hi])[0]]
+    report = homogeneity_check(opt.P_ALGORITHM, objective, [lo], [hi], 2.0, 1.0)
+    assert [len(trace.steps) for trace in runs] + [len(report.steps)] == \
+        [opt.DEFAULT_BUDGET] * 3
 
 
 class TestRun:

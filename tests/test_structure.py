@@ -80,6 +80,57 @@ def test_rule_constants_stay_home(path):
     assert name_references(path.read_text(), foreign) == set()
 
 
+# The grid-run options and their defaults are declared in one signature.
+# Other functions may take one or two of them as inputs (the model takes its
+# kernel and estimator, DIRECT its own epsilon and budget), but a signature
+# with more than two declares the run's options a second time.
+RUN_OPTIONS = {"initial_design", "budget", "kernel", "estimator", "epsilon", "grid"}
+# The kernel families and estimators are named in the module that checks them.
+MODEL_NAMES = {"exponential", "squared-exponential", "mle", "sample"}
+
+
+def option_signatures(source: str, module: str) -> set:
+    """(module.function, its RUN_OPTIONS) for each function that takes more than two."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if len(names & RUN_OPTIONS) > 2:
+                found.add((f"{module}.{node.name}", frozenset(names & RUN_OPTIONS)))
+    return found
+
+
+def string_constants(source: str, names) -> set:
+    """The names among ``names`` that ``source`` writes as a string literal."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in names}
+
+
+def test_option_rule_catches_a_second_signature():
+    source = ("def grid_run(algorithm, initial_design=None, budget=20, kernel=None,\n"
+              "             estimator=None, epsilon=0.1, grid=None): pass\n"
+              "def run(algorithm, **options): pass\n"
+              "def fig1(estimator, epsilon): pass\n"
+              "def check(a, b, budget=25, kernel=None, estimator='mle'): pass\n")
+    assert option_signatures(source, "m") == {
+        ("m.grid_run", frozenset(RUN_OPTIONS)),
+        ("m.check", frozenset({"budget", "kernel", "estimator"}))}
+    assert string_constants(source, MODEL_NAMES) == {"mle"}
+
+
+def test_run_options_have_one_signature():
+    sites = set().union(*(option_signatures(path.read_text(), path.stem)
+                          for path in SOURCES))
+    assert sites == {("optimizer.grid_run", frozenset(RUN_OPTIONS))}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "gp.py"],
+                         ids=lambda p: p.name)
+def test_model_names_written_only_in_gp(path):
+    assert string_constants(path.read_text(), MODEL_NAMES) == set()
+
+
 # S is factored on one path: each name is used only inside its one caller.
 FACTOR_PATH = {("cho_factor", "gp._factor_with_jitter"),
                ("_factor_with_jitter", "gp.GridCorrelations._refactor")}
