@@ -2,9 +2,13 @@
 
 Subcommands:
   run          optimize a built-in objective and write trace files
-  homogeneity  compare a base run against an affinely scaled run
+  homogeneity  compare a base run against an affinely scaled run, or, with
+               --algorithm direct, show DIRECT changing its subdivisions
+               under a translation
   example-fig1 emit plot data for the five-point planning example
-  direct-demo  show DIRECT changing its subdivisions under translation
+
+A flag passes on only the value given, so each default has one home in the
+library; ``homogeneity`` exits 2 on a flag the chosen algorithm does not read.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ ALGORITHMS = {"p": optimizer.P_ALGORITHM, "ei": optimizer.ONE_STEP_BAYES}
 
 
 def _add_common_run_flags(p):
-    p.add_argument("--objective", default="sin3x2",
-                   choices=sorted(objectives.BUILTIN_OBJECTIVES))
+    p.add_argument("--objective", choices=sorted(objectives.BUILTIN_OBJECTIVES))
     p.add_argument("--kernel", choices=gp.KERNEL_FAMILIES)
     p.add_argument("--kernel-c", type=float)
     p.add_argument("--estimator", choices=gp.ESTIMATORS)
@@ -72,8 +75,16 @@ def _apply_config_file(parser, args, argv):
     return parser.parse_args(argv[:split] + file_flags + argv[split:])
 
 
+def _reject_unread(args, names):
+    unread = [f"--{name.replace('_', '-')}" for name in names
+              if getattr(args, name) is not None]
+    if unread:
+        raise ConfigError(f"--algorithm {args.algorithm} does not read {', '.join(unread)}")
+
+
 def _build_kwargs(args):
-    objective, (lower, upper) = objectives.get_objective(args.objective)
+    objective, (lower, upper) = objectives.get_objective(
+        args.objective or objectives.DEFAULT_OBJECTIVE)
     grid = optimizer.CandidateGrid.for_region([lower], [upper], args.grid_resolution)
     kernel = gp.CorrelationKernel(**_given(family=args.kernel, c=args.kernel_c))
     return objective, lower, upper, dict(kernel=kernel, grid=grid, **_given(
@@ -99,28 +110,39 @@ def cmd_run(args) -> int:
 
 def cmd_homogeneity(args) -> int:
     if args.algorithm == "direct":
-        case = harness.build_direct_counterexample(epsilon=args.direct_epsilon,
-                                                   **_given(budget=args.budget))
-        mismatch, base, shifted = harness.direct_homogeneity_check(case)
-        print(f"translation shift: {case.shift!r} "
-              f"(threshold delta_f={case.delta_f!r}, eps={case.epsilon})")
-        if mismatch is None:
-            print("no subdivision mismatch observed")
-            return EXIT_OK
-        print(f"subdivision mismatch at iteration {mismatch}")
-        print("base iterations:")
-        print(base.to_csv())
-        print("shifted iterations:")
-        print(shifted.to_csv())
-        return EXIT_MISMATCH
-
+        return _direct_check(args)
+    _reject_unread(args, ["output"])
     algorithm = ALGORITHMS[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
     report = harness.homogeneity_check(algorithm, objective, [lower], [upper],
-                                       args.a, args.b, **kwargs)
+                                       **_given(a=args.a, b=args.b), **kwargs)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_MISMATCH
+
+
+def _direct_check(args) -> int:
+    """The DIRECT translation check: builder, base run, shifted run."""
+    _reject_unread(args, ["objective", "kernel", "kernel_c", "estimator",
+                          "grid_resolution", "a", "b"])
+    case = harness.build_direct_counterexample(**_given(epsilon=args.epsilon,
+                                                        budget=args.budget))
+    partition, base = direct1d.run_direct(case.objective, case.lower, case.upper,
+                                          case.epsilon, case.budget)
+    mismatch, _, shifted = harness.compare_direct_shift(case, base)
+    print(f"translation shift: {case.shift!r} "
+          f"(threshold delta_f={case.delta_f!r}, eps={case.epsilon})")
+    print(f"counterexample interval {case.interval_index} at iteration "
+          f"{case.found_at_iteration}")
+    print(f"subdivision mismatch at iteration {mismatch}"
+          if mismatch is not None else "no subdivision mismatch observed")
+    print(f"base iterations:\n{base.to_csv()}\nshifted iterations:\n{shifted.to_csv()}")
+    if args.output is not None:
+        _write(args.output + "_partition.json", partition.to_json())
+        _write(args.output + "_trace.csv", base.to_csv())
+        print(f"partition/trace written to {args.output}_partition.json / "
+              f"{args.output}_trace.csv")
+    return EXIT_OK if mismatch is None else EXIT_MISMATCH
 
 
 def cmd_example_fig1(args) -> int:
@@ -139,24 +161,6 @@ def cmd_example_fig1(args) -> int:
     return EXIT_OK
 
 
-def cmd_direct_demo(args) -> int:
-    case = harness.build_direct_counterexample(epsilon=args.direct_epsilon,
-                                               budget=args.budget)
-    partition, trace = direct1d.run_direct(case.objective, case.lower,
-                                           case.upper, case.epsilon,
-                                           case.budget)
-    _write(args.output + "_partition.json", partition.to_json())
-    _write(args.output + "_trace.csv", trace.to_csv())
-    mismatch, _, _ = harness.compare_direct_shift(case, trace)
-    print(f"counterexample interval {case.interval_index} at iteration "
-          f"{case.found_at_iteration}; shift {case.shift!r}")
-    print(f"subdivision mismatch at iteration {mismatch}"
-          if mismatch is not None else "no mismatch observed")
-    print(f"partition/trace written to {args.output}_partition.json / "
-          f"{args.output}_trace.csv")
-    return EXIT_OK
-
-
 def make_parser():
     parser = _Parser(prog="scaleopt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -170,12 +174,9 @@ def make_parser():
     p_hom = sub.add_parser("homogeneity", help="affine-scaling comparison")
     p_hom.add_argument("--algorithm", default="p", choices=[*ALGORITHMS, "direct"])
     _add_common_run_flags(p_hom)
-    p_hom.add_argument("--a", default="1",
-                       help="scale factor; float or numeral like 3*G^2")
-    p_hom.add_argument("--b", default="0",
-                       help="offset; float or numeral like G^-1")
-    p_hom.add_argument("--direct-epsilon", type=float,
-                       default=direct1d.DEFAULT_EPSILON)
+    p_hom.add_argument("--a", help="scale factor; float or numeral like 3*G^2")
+    p_hom.add_argument("--b", help="offset; float or numeral like G^-1")
+    p_hom.add_argument("--output", help="direct only: prefix of the files to write")
     p_hom.set_defaults(func=cmd_homogeneity)
 
     p_fig = sub.add_parser("example-fig1", help="five-point example data")
@@ -184,12 +185,6 @@ def make_parser():
     p_fig.add_argument("--grid-resolution", type=int)
     p_fig.add_argument("--output", default="fig1.csv")
     p_fig.set_defaults(func=cmd_example_fig1)
-
-    p_dd = sub.add_parser("direct-demo", help="DIRECT translation sensitivity")
-    p_dd.add_argument("--direct-epsilon", type=float, default=direct1d.DEFAULT_EPSILON)
-    p_dd.add_argument("--budget", type=int, default=harness.COUNTEREXAMPLE_BUDGET)
-    p_dd.add_argument("--output", default="direct_demo")
-    p_dd.set_defaults(func=cmd_direct_demo)
 
     return parser
 

@@ -209,11 +209,12 @@ def direct_iterations(objective: Callable, lower: float, upper: float,
     """DIRECT on [lower, upper] as a lazy sequence of at most ``budget`` iterations.
 
     Yields (iteration, partition, chosen) before subdividing the chosen
-    intervals, so a caller that stops evaluates and tests nothing more.  A
-    budget below 1 raises ``ValueError`` before anything is evaluated.
+    intervals, so a caller that stops evaluates and tests nothing more.  A bad
+    budget, region or epsilon raises ``ValueError`` before any evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    DirectPartition([Interval(lower, upper, 0.0)], epsilon)  # checks region and epsilon
     root = Interval(lower, upper, _evaluate(objective, 0.5 * (lower + upper)))
     partition = DirectPartition([root], epsilon)
     for it in range(1, budget + 1):

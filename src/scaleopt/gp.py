@@ -303,7 +303,7 @@ class SurrogatePosterior:
     """Conditional Gaussian model given an evaluation history.
 
     It reads the Cholesky factor L of S + jitter*I from the run's
-    ``grid_correlations`` under the same kernel, or else from a
+    ``grid_correlations``, built under the same kernel, or else from a
     ``GridCorrelations`` over no grid points built for this history.
     The ``mle`` estimates are the generalized-least-squares mean
     (1' S^-1 y) / (1' S^-1 1) and the averaged quadratic form of the
@@ -319,9 +319,9 @@ class SurrogatePosterior:
             raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
         self.kernel = kernel
-        state = grid_correlations
-        if state is None or state.kernel != kernel:
-            state = GridCorrelations(history.points[:0], kernel)
+        state = grid_correlations or GridCorrelations(history.points[:0], kernel)
+        if state.kernel != kernel:
+            raise ValueError("grid correlations were built under another kernel")
         self._grid, self._grid_ups = state.points, state.rows(history)
         self._factor, self.jitter, self._grid_q = (state.factor, True), state.jitter, state.q
         y = history.values

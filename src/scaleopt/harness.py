@@ -75,7 +75,7 @@ def compare_traces(base, scaled, algorithm: str, a, b) -> ComparisonReport:
     return report
 
 
-def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a, b,
+def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a=1, b=0,
                       **options) -> ComparisonReport:
     """Compare a base run against the run on a*f + b.
 
@@ -148,16 +148,12 @@ class DirectCounterexample:
     delta_f: float
 
 
-# DIRECT iterations the counterexample builder searches by default.
-COUNTEREXAMPLE_BUDGET = 6
-
-
 def _default_direct_objective(x):
     return (x - 0.31) ** 2 + 1.0
 
 
 def build_direct_counterexample(epsilon: float = direct1d.DEFAULT_EPSILON,
-                                budget: int = COUNTEREXAMPLE_BUDGET,
+                                budget: int = 6,
                                 objective: Callable = _default_direct_objective,
                                 lower: float = 0.0, upper: float = 1.0,
                                 ) -> DirectCounterexample:

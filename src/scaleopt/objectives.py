@@ -36,6 +36,7 @@ BUILTIN_OBJECTIVES = {
     "rastrigin1d": (rastrigin1d, (-2.0, 2.0)),
     "gramacy-lee": (gramacy_lee, (0.5, 2.5)),
 }
+DEFAULT_OBJECTIVE = "sin3x2"
 
 
 def get_objective(name: str):

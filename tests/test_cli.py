@@ -1,5 +1,8 @@
 import inspect
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -222,83 +225,115 @@ class TestExampleFig1:
         assert "argmax" in text and "deviation" in text
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Every evaluation of the DIRECT builder's objective and of a built-in objective."""
+    calls = []
+    build = harness.build_direct_counterexample
+    objective = inspect.signature(build).parameters["objective"].default
+    monkeypatch.setattr(harness, "build_direct_counterexample", lambda **kwargs: build(
+        objective=lambda x: calls.append(x) or objective(x), **kwargs))
+    lookup = objectives.get_objective
+
+    def counted(name):
+        builtin, region = lookup(name)
+        return (lambda x: calls.append(x) or builtin(x)), region
+
+    monkeypatch.setattr(objectives, "get_objective", counted)
+    return calls
+
+
 class TestDirectDemo:
-    def test_writes_outputs(self, tmp_path, capsys):
-        out = tmp_path / "demo"
-        code = run_cli(["direct-demo", "--output", str(out)])
-        assert code == 0
-        assert (tmp_path / "demo_partition.json").exists()
-        assert (tmp_path / "demo_trace.csv").exists()
+    """The DIRECT translation check, ``homogeneity --algorithm direct``."""
+
+    def test_writes_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["homogeneity", "--algorithm", "direct"]) == cli.EXIT_MISMATCH
+        assert list(tmp_path.iterdir()) == []  # files only with --output
+        code = run_cli(["homogeneity", "--algorithm", "direct", "--output", "demo"])
+        assert code == cli.EXIT_MISMATCH
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "demo_partition.json", "demo_trace.csv"]
         assert "mismatch at iteration" in capsys.readouterr().out
 
-    def test_base_run_evaluated_once(self, tmp_path, monkeypatch):
-        build = harness.build_direct_counterexample
-        objective = inspect.signature(build).parameters["objective"].default
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return objective(x)
-
-        monkeypatch.setattr(harness, "build_direct_counterexample",
-                            lambda **kwargs: build(objective=counted, **kwargs))
-        assert run_cli(["direct-demo", "--output", str(tmp_path / "demo")]) == 0
+    def test_base_run_evaluated_once(self, tmp_path, calls):
+        args = ["homogeneity", "--algorithm", "direct", "--output", str(tmp_path / "demo")]
+        assert run_cli(args) == cli.EXIT_MISMATCH
         # builder 5, base run 27, shifted run 15
         assert len(calls) == 47
 
     @pytest.mark.parametrize("args", [
-        ["direct-demo", "--budget=-3"],
-        ["homogeneity", "--algorithm", "direct", "--budget=-3"],
-        ["homogeneity", "--algorithm", "direct", "--budget=0"],
+        ["--budget=-3", "--output", "demo"],
+        ["--budget=-3"],
+        ["--budget=0"],
+        ["--epsilon", "0"],
+        ["--epsilon", "1.5"],
+        ["--epsilon", "nan"],
     ])
     def test_bad_budget_exits_2_before_evaluating(self, args, tmp_path, monkeypatch,
-                                                  capsys):
-        build = harness.build_direct_counterexample
-        objective = inspect.signature(build).parameters["objective"].default
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return objective(x)
-
-        monkeypatch.setattr(harness, "build_direct_counterexample",
-                            lambda **kwargs: build(objective=counted, **kwargs))
-        if args[0] == "direct-demo":
-            args = args + ["--output", str(tmp_path / "demo")]
-        assert run_cli(args) == cli.EXIT_CONFIG
-        assert "budget must be at least 1" in capsys.readouterr().err
+                                                  calls, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["homogeneity", "--algorithm", "direct", *args]) == cli.EXIT_CONFIG
+        message = ("budget must be at least 1" if args[0].startswith("--budget")
+                   else "epsilon must lie in (0, 1)")
+        assert message in capsys.readouterr().err
         assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("args", [["direct-demo"],
-                                      ["homogeneity", "--algorithm", "direct"]])
-    def test_shift_printed_as_plain_float(self, args, tmp_path, capsys):
-        if args[0] == "direct-demo":
-            args = args + ["--output", str(tmp_path / "demo")]
-        run_cli(args)
+    @pytest.mark.parametrize("args", [["--output", "demo"], []])
+    def test_shift_printed_as_plain_float(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["homogeneity", "--algorithm", "direct", *args])
         out = capsys.readouterr().out
         assert "176.05067974074205" in out
         assert "np.float64" not in out
 
 
+@pytest.mark.parametrize("algorithm, flag, value", [
+    ("direct", "--objective", "rastrigin1d"),
+    ("direct", "--kernel", "squared-exponential"),
+    ("direct", "--kernel-c", "2"),
+    ("direct", "--estimator", "sample"),
+    ("direct", "--grid-resolution", "3"),
+    ("direct", "--a", "5"),
+    ("direct", "--b", "G"),
+    ("p", "--output", "demo"),
+    ("ei", "--output", "demo"),
+])
+def test_unread_flag_exits_2_before_evaluating(algorithm, flag, value, tmp_path,
+                                               monkeypatch, calls, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["homogeneity", "--algorithm", algorithm, flag, value]
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert f"error: --algorithm {algorithm} does not read {flag}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
+    # DIRECT's epsilon and budget live in the builder's signature alone: the
+    # parser holds None for both, and homogeneity passes on only the values given
     params = inspect.signature(harness.build_direct_counterexample).parameters
-    assert params["epsilon"].default == direct1d.DEFAULT_EPSILON
-    assert params["budget"].default == harness.COUNTEREXAMPLE_BUDGET
+    epsilon, budget = params["epsilon"].default, params["budget"].default
+    assert epsilon == direct1d.DEFAULT_EPSILON
     parser = cli.make_parser()
-    demo = parser.parse_args(["direct-demo"])
-    assert demo.direct_epsilon == direct1d.DEFAULT_EPSILON
-    assert demo.budget == harness.COUNTEREXAMPLE_BUDGET
-    assert parser.parse_args(["homogeneity"]).direct_epsilon == direct1d.DEFAULT_EPSILON
-    # homogeneity runs the counterexample for the builder's own budget unless
-    # --budget is given, which alone it passes on
-    build, budgets = harness.build_direct_counterexample, []
+    args = parser.parse_args(["homogeneity", "--algorithm", "direct"])
+    assert (args.epsilon, args.budget) == (None, None)
+    build, given = harness.build_direct_counterexample, []
     monkeypatch.setattr(harness, "build_direct_counterexample",
-                        lambda **kwargs: budgets.append(kwargs.get("budget")) or build(**kwargs))
+                        lambda **kwargs: given.append(kwargs) or build(**kwargs))
     assert run_cli(["homogeneity", "--algorithm", "direct"]) == cli.EXIT_MISMATCH
-    base = capsys.readouterr().out.split("base iterations:")[1].split("shifted")[0]
-    assert len(base.split()) == 1 + harness.COUNTEREXAMPLE_BUDGET  # header and rows
-    assert run_cli(["homogeneity", "--algorithm", "direct", "--budget", "9"]) == cli.EXIT_MISMATCH
-    assert budgets == [None, 9]
+    out = capsys.readouterr().out
+    assert f"eps={epsilon})" in out
+    base = out.split("base iterations:")[1].split("shifted")[0]
+    assert len(base.split()) == 1 + budget  # header and rows
+    args = ["homogeneity", "--algorithm", "direct", "--budget", "9", "--epsilon", "1e-3"]
+    assert run_cli(args) == cli.EXIT_MISMATCH
+    assert "eps=0.001)" in capsys.readouterr().out
+    assert given == [{}, {"budget": 9, "epsilon": 1e-3}]
+    # the scaling's defaults a = 1, b = 0 live in homogeneity_check's signature
+    check = inspect.signature(harness.homogeneity_check).parameters
+    assert (check["a"].default, check["b"].default) == (1, 0)
     # the grid algorithms keep theirs, in grid_run's signature alone: its
     # callers forward their options, and the CLI's run flags default to None
     # and pass on only the values given
@@ -306,7 +341,8 @@ def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     assert grid_run["budget"].default == optimizer.DEFAULT_BUDGET
     for command in ("run", "homogeneity", "example-fig1"):
         args = vars(parser.parse_args([command]))
-        settings = {"budget", "kernel", "kernel_c", "estimator", "epsilon", "grid_resolution"}
+        settings = {"budget", "kernel", "kernel_c", "estimator", "epsilon", "grid_resolution",
+                    "objective", "a", "b"}
         assert {args[k] for k in settings & set(args)} == {None}
     run, options = optimizer.run, []
     monkeypatch.setattr(optimizer, "run",
@@ -316,3 +352,32 @@ def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     assert len(rows) == 1 + 5 + optimizer.DEFAULT_BUDGET
     assert run_cli(["run", "--epsilon", "0.2", "--output", str(tmp_path / "t")]) == cli.EXIT_OK
     assert options == [["grid", "kernel"], ["epsilon", "grid", "kernel"]]
+
+
+def readme_cli_examples():
+    """(argv, exit code) for each ``scaleopt`` line of README's CLI block.
+
+    The code is the one that the line's own comment states ("exits N"), or
+    else the comment lines just above it.
+    """
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, comment, previous = [], "", ""
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment = (comment if previous.startswith("#") else "") + line
+        elif line.startswith("scaleopt "):
+            command, _, note = line.partition("#")
+            stated = re.search(r"exits (\d)", note) or re.search(r"exits (\d)", comment)
+            if stated is None:
+                raise ValueError(f"README states no exit code for {line!r}")
+            examples.append((shlex.split(command)[1:], int(stated.group(1))))
+        previous = line
+    return examples
+
+
+@pytest.mark.parametrize("argv, code", readme_cli_examples(),
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_readme_cli_example(argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code

@@ -192,6 +192,17 @@ class TestRunDirect:
                 next(direct1d.direct_iterations(calls.append, 0.0, 1.0, 1e-4, budget))
         assert calls == []
 
+    @pytest.mark.parametrize("lower, upper, epsilon, message", [
+        (1.0, 0.0, 1e-4, "interval needs a < b"),
+        (0.0, 1.0, 0.0, "epsilon must lie in"),
+    ], ids=["reversed-region", "epsilon-zero"])
+    def test_region_and_epsilon_checked_before_evaluating(self, lower, upper, epsilon,
+                                                          message):
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            direct1d.run_direct(calls.append, lower, upper, epsilon, 2)
+        assert calls == []
+
     def test_iterations_stop_at_budget_without_subdividing_the_last(self):
         calls = []
         f = lambda x: calls.append(x) or (x - 0.3) ** 2

@@ -44,10 +44,10 @@ from scaleopt.objectives import get_objective, gramacy_lee, sin3x2
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _cli_outputs(args, suffixes):
+def _cli_outputs(args, suffixes, code):
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out")
-        assert cli.main(args + ["--output", out]) == cli.EXIT_OK
+        assert cli.main(args + ["--output", out]) == code
         return [Path(out + suffix).read_text() for suffix in suffixes]
 
 
@@ -55,7 +55,7 @@ def _run_case(algorithm, estimator, suffix):
     def produce():
         csv_text, json_text = _cli_outputs(
             ["run", "--algorithm", algorithm, "--objective", "sin3x2",
-             "--estimator", estimator, "--budget", "25"], [".csv", ".json"])
+             "--estimator", estimator, "--budget", "25"], [".csv", ".json"], cli.EXIT_OK)
         return csv_text if suffix == ".csv" else json_text
     return produce
 
@@ -103,8 +103,10 @@ def _direct_run_case(name, budget):
 
 
 def _direct_demo_case(suffix):
+    # the DIRECT translation check's files; it exits 1 on the mismatch it shows
     def produce():
-        return _cli_outputs(["direct-demo"], [suffix])[0]
+        return _cli_outputs(["homogeneity", "--algorithm", "direct"], [suffix],
+                            cli.EXIT_MISMATCH)[0]
     return produce
 
 

@@ -351,10 +351,11 @@ class TestGridCorrelations:
         plain = build_posterior(history, KERNEL, "mle").moments_grid(other_grid)
         for a, b in zip(with_cache, plain):
             assert np.array_equal(a, b)
-        # another kernel never touches the state
+        # a state built under another kernel is an error, raised before it is touched
         monkeypatch.setattr(cache, "rows", lambda history: pytest.fail("cache used"))
         other = CorrelationKernel("exponential", 2.0)
-        build_posterior(history, other, "mle", cache).moments_grid(grid)
+        with pytest.raises(ValueError, match="another kernel"):
+            build_posterior(history, other, "mle", cache)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     def test_factor_reproduces_correlation_matrix(self, kernel):
