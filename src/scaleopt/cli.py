@@ -14,11 +14,10 @@ library; ``homogeneity`` exits 2 on a flag the chosen algorithm does not read.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
-from . import direct1d, gp, harness, objectives, optimizer
+from . import gp, harness, objectives, optimizer
 from .errors import ConfigError, ScaleoptError
 
 EXIT_OK = 0
@@ -127,9 +126,7 @@ def _direct_check(args) -> int:
                           "grid_resolution", "a", "b"])
     case = harness.build_direct_counterexample(**_given(epsilon=args.epsilon,
                                                         budget=args.budget))
-    partition, base = direct1d.run_direct(case.objective, case.lower, case.upper,
-                                          case.epsilon, case.budget)
-    mismatch, _, shifted = harness.compare_direct_shift(case, base)
+    mismatch, base, shifted = harness.direct_homogeneity_check(case)
     print(f"translation shift: {case.shift!r} "
           f"(threshold delta_f={case.delta_f!r}, eps={case.epsilon})")
     print(f"counterexample interval {case.interval_index} at iteration "
@@ -138,7 +135,7 @@ def _direct_check(args) -> int:
           if mismatch is not None else "no subdivision mismatch observed")
     print(f"base iterations:\n{base.to_csv()}\nshifted iterations:\n{shifted.to_csv()}")
     if args.output is not None:
-        _write(args.output + "_partition.json", partition.to_json())
+        _write(args.output + "_partition.json", base.partition.to_json())
         _write(args.output + "_trace.csv", base.to_csv())
         print(f"partition/trace written to {args.output}_partition.json / "
               f"{args.output}_trace.csv")
@@ -148,12 +145,9 @@ def _direct_check(args) -> int:
 def cmd_example_fig1(args) -> int:
     data = harness.fig1_reproduction(**_given(
         estimator=args.estimator, epsilon=args.epsilon, resolution=args.grid_resolution))
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = ["x", "m_f", "s_f", "crit_f", "m_phi", "s_phi", "crit_phi"]
-        writer.writerow(cols)
-        for row in zip(*(data[c] for c in cols)):
-            writer.writerow([repr(float(v)) for v in row])
+    cols = ["x", "m_f", "s_f", "crit_f", "m_phi", "s_phi", "crit_phi"]
+    _write(args.output, optimizer.csv_text([cols] + [
+        [repr(float(v)) for v in row] for row in zip(*(data[c] for c in cols))]))
     print(f"printed-phi max deviation from a*f+b: {data['printed_phi_deviation']!r}")
     print(f"aspiration levels: y_on={data['y_on_f']!r} z_on={data['y_on_phi']!r}")
     print(f"criterion argmax: f -> {data['argmax_f']}, phi -> {data['argmax_phi']}")

@@ -12,17 +12,15 @@ built once, as read-only float64 arrays, and every test of it reads them.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import PreconditionError
-from .optimizer import exact_value
+from .optimizer import csv_text, exact_value
 
 # Slack applied to the Lipschitz-bound inequalities; exact boundary
 # equality is measure-zero fragile in floating point.
@@ -60,8 +58,8 @@ class DirectPartition:
     intervals: tuple
     epsilon: float = DEFAULT_EPSILON
     f_min: float = field(init=False)
-    _deltas: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    deltas: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
@@ -71,17 +69,11 @@ class DirectPartition:
             raise ValueError("partition must contain at least one interval")
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "f_min", min(iv.fc for iv in intervals))
-        for name, column in (("_deltas", [iv.delta for iv in intervals]),
-                             ("_values", [iv.fc for iv in intervals])):
+        for name, column in (("deltas", [iv.delta for iv in intervals]),
+                             ("values", [iv.fc for iv in intervals])):
             array = np.array(column, dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-    def deltas(self) -> np.ndarray:
-        return self._deltas
-
-    def values(self) -> np.ndarray:
-        return self._values
 
     def to_json(self) -> str:
         return json.dumps({
@@ -100,29 +92,36 @@ class PotentialOptimality:
     reason: str
 
 
+def _length_classes(deltas: np.ndarray, j: int):
+    """Masks of the intervals shorter than j, as long as j (j excluded), and longer.
+
+    Half-lengths within ``DELTA_EQ_REL`` of each other count as equal.
+    """
+    if not (0 <= j < deltas.size):
+        raise IndexError(f"interval index {j} out of range")
+    gap = deltas - deltas[j]
+    tol = DELTA_EQ_REL * np.maximum(deltas, deltas[j])
+    same = np.abs(gap) <= tol
+    same[j] = False
+    return gap < -tol, same, gap > tol
+
+
 def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimality:
     """Closed-form test for whether interval j could hold the best bound.
 
     Accepts iff some L > 0 gives interval j the smallest Lipschitz lower
     bound and that bound undercuts f_min by the required relative margin.
     """
-    deltas = partition.deltas()
-    values = partition.values()
-    n = deltas.size
-    if not (0 <= j < n):
-        raise IndexError(f"interval index {j} out of range")
+    deltas, values = partition.deltas, partition.values
+    shorter, same, longer = _length_classes(deltas, j)
     dj, fj = deltas[j], values[j]
     f_min = partition.f_min
     eps = partition.epsilon
 
-    tol = DELTA_EQ_REL * np.maximum(deltas, dj)
-    same = (np.abs(deltas - dj) <= tol) & (np.arange(n) != j)
     if np.any(values[same] < fj - FEASIBILITY_SLACK):
         return PotentialOptimality(False, math.nan, math.nan,
                                    "dominated by an equal-length interval")
 
-    shorter = (deltas < dj) & ~same
-    longer = (deltas > dj) & ~same
     l_lo = (fj - f_min + eps * abs(f_min)) / dj
     if shorter.any():
         l_lo = max(l_lo, float(((fj - values[shorter]) / (dj - deltas[shorter])).max()))
@@ -144,12 +143,11 @@ def counterexample_shift(partition: DirectPartition, j: int) -> float:
     potentially optimal once every midpoint value is shifted by delta.
     The potentially optimal test runs last, only for a j that passes the others.
     """
-    deltas = partition.deltas()
-    values = partition.values()
+    deltas, values = partition.deltas, partition.values
+    _, _, longer = _length_classes(deltas, j)
     dj, fj = deltas[j], values[j]
     if np.any(values <= 0):
         raise PreconditionError("all midpoint values must be positive")
-    longer = (deltas - dj) > DELTA_EQ_REL * np.maximum(deltas, dj)
     if not longer.any():
         raise PreconditionError(f"interval {j} has no strictly longer neighbour")
     if not potentially_optimal(partition, j).decision:
@@ -180,20 +178,12 @@ def _evaluate(objective: Callable, x: float) -> float:
 @dataclass
 class DirectTrace:
     iterations: list = field(default_factory=list)  # list of dicts
+    partition: Optional[DirectPartition] = None  # after the last subdivision
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iter", "subdivided_indices", "f_min", "n_intervals"])
-        for rec in self.iterations:
-            writer.writerow([rec["iter"],
-                             ";".join(str(i) for i in rec["subdivided_indices"]),
-                             repr(rec["f_min"]), rec["n_intervals"]])
-        return buf.getvalue()
-
-    def subdivided_keys(self):
-        """Per-iteration sets of subdivided intervals, keyed by endpoints."""
-        return [frozenset(rec["subdivided_endpoints"]) for rec in self.iterations]
+        return csv_text([["iter", "subdivided_indices", "f_min", "n_intervals"]] + [
+            [rec["iter"], ";".join(str(i) for i in rec["subdivided_indices"]),
+             repr(rec["f_min"]), rec["n_intervals"]] for rec in self.iterations])
 
 
 def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> DirectPartition:
@@ -227,15 +217,17 @@ def direct_iterations(objective: Callable, lower: float, upper: float,
 
 def run_direct(objective: Callable, lower: float, upper: float,
                epsilon: float = DEFAULT_EPSILON, budget: int = 10):
-    """DIRECT iterations on [lower, upper]; returns (partition, trace)."""
+    """DIRECT iterations on [lower, upper]; returns (partition, trace).
+
+    The partition is the one after the last subdivision; the trace holds it too.
+    """
     trace = DirectTrace()
     for it, partition, chosen in direct_iterations(objective, lower, upper, epsilon, budget):
         trace.iterations.append({
             "iter": it,
             "subdivided_indices": chosen,
-            "subdivided_endpoints": [(partition.intervals[i].a,
-                                      partition.intervals[i].b) for i in chosen],
             "f_min": partition.f_min,
             "n_intervals": len(partition.intervals) + 2 * len(chosen),
         })
-    return _subdivide(partition, chosen, objective), trace
+    trace.partition = _subdivide(partition, chosen, objective)
+    return trace.partition, trace

@@ -179,22 +179,15 @@ def build_direct_counterexample(epsilon: float = direct1d.DEFAULT_EPSILON,
 
 
 def direct_homogeneity_check(case: DirectCounterexample):
-    """Run DIRECT on f and on f + shift and compare subdivision choices.
+    """Run DIRECT on f and on f + shift and compare the intervals each subdivides.
 
-    Returns (mismatch_iteration or None, base_trace, shifted_trace).
+    Returns (mismatch_iteration or None, base_trace, shifted_trace).  Comparing
+    indices is exact: equal choices up to an iteration leave equal intervals.
     """
     _, base = direct1d.run_direct(case.objective, case.lower, case.upper,
                                   case.epsilon, case.budget)
-    return compare_direct_shift(case, base)
-
-
-def compare_direct_shift(case: DirectCounterexample, base):
-    """``direct_homogeneity_check`` against the base trace of ``case``, already run."""
-    shifted_obj = lambda x: case.objective(x) + case.shift
-    _, shifted = direct1d.run_direct(shifted_obj, case.lower, case.upper,
-                                     case.epsilon, case.budget)
-    for it, (kb, ks) in enumerate(zip(base.subdivided_keys(),
-                                      shifted.subdivided_keys()), start=1):
-        if kb != ks:
-            return it, base, shifted
-    return None, base, shifted
+    _, shifted = direct1d.run_direct(lambda x: case.objective(x) + case.shift,
+                                     case.lower, case.upper, case.epsilon, case.budget)
+    mismatch = next((rb["iter"] for rb, rs in zip(base.iterations, shifted.iterations)
+                     if rb["subdivided_indices"] != rs["subdivided_indices"]), None)
+    return mismatch, base, shifted

@@ -62,9 +62,6 @@ _CRITERION_OF = {
 DEFAULT_BUDGET = 20
 DEFAULT_EPSILON = 0.1
 
-# sigma-hat below this relative level counts as a zero-spread model.
-_ZERO_SPREAD_REL = 1e-13
-
 
 @dataclass(frozen=True)
 class CandidateGrid:
@@ -132,6 +129,13 @@ def select_best(values: np.ndarray, eligible: np.ndarray,
     return Selection(points[idx], idx, float(values[idx]))
 
 
+def csv_text(rows) -> str:
+    """Rows as CSV text, each line ending in a newline: the one CSV writer."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     iteration: int
@@ -186,10 +190,7 @@ class OptimizationTrace:
         return rows
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(self._rows())
-        return buf.getvalue()
+        return csv_text(self._rows())
 
     def to_json(self) -> str:
         header, *rows = self._rows()
@@ -287,9 +288,9 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     """The sequential run loop behind ``run`` and the extended-numeral run.
 
     It owns the design, the normalization, the model, the aspiration level,
-    the criterion argmax, the evaluations and the records.  A step whose
-    model has zero spread takes the lowest unvisited index instead of the
-    argmax; every step, that fallback too, makes one observation and one
+    the criterion argmax, the evaluations and the records.  A step taken
+    before any two values differ, whose model has zero spread, takes the
+    lowest unvisited index instead of the argmax; every step, that fallback too, makes one observation and one
     record.  Every setting is checked before anything is evaluated, the design
     by ``EvaluationHistory``'s rules and the grid by its region rule.
     """
@@ -339,7 +340,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         params = posterior.parameters
         mu = normalize.restore(params.mu, shifted=True)
         sigma2 = normalize.restore(params.sigma2, power=2)
-        zero_spread = params.sigma <= _ZERO_SPREAD_REL * (1.0 + abs(params.mu))
+        zero_spread = normalize.scale is None  # no two values differ yet
         if zero_spread:
             # Criterion undefined everywhere: take the lowest unvisited index.
             sel = select_best(np.zeros(len(points)), ~visited, points)

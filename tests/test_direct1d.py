@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -64,14 +65,14 @@ class TestCachedPartition:
 
     def test_arrays_equal_a_rebuild(self):
         p = self.partition()
-        assert np.array_equal(p.deltas(), np.array([iv.delta for iv in p.intervals]))
-        assert np.array_equal(p.values(), np.array([iv.fc for iv in p.intervals]))
-        assert p.deltas().dtype == p.values().dtype == np.float64
+        assert np.array_equal(p.deltas, np.array([iv.delta for iv in p.intervals]))
+        assert np.array_equal(p.values, np.array([iv.fc for iv in p.intervals]))
+        assert p.deltas.dtype == p.values.dtype == np.float64
         assert p.f_min == min(iv.fc for iv in p.intervals)
 
     def test_arrays_are_read_only(self):
         p = self.partition()
-        for array in (p.deltas(), p.values()):
+        for array in (p.deltas, p.values):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -83,13 +84,13 @@ class TestCachedPartition:
 
     def test_arrays_built_once(self):
         p = self.partition()
-        assert p.deltas() is p.deltas() and p.values() is p.values()
+        assert p.deltas is p.deltas and p.values is p.values
 
     def test_built_from_a_non_tiling_list(self):
         intervals = [direct1d.Interval(0.0, 1.0, 2.0), direct1d.Interval(5.0, 5.5, 1.0)]
         p = direct1d.DirectPartition(intervals, 1e-4)
         assert p.intervals == tuple(intervals)
-        assert p.deltas().tolist() == [0.5, 0.25] and p.f_min == 1.0
+        assert p.deltas.tolist() == [0.5, 0.25] and p.f_min == 1.0
 
 
 class TestCounterexampleShift:
@@ -113,6 +114,12 @@ class TestCounterexampleShift:
         p = partition_from([1 / 6, 1 / 2, 1 / 6], [1.0, 1.2, 1.1], 0.01)
         with pytest.raises(PreconditionError):
             direct1d.counterexample_shift(p, 1)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_out_of_range_index(self, j):
+        p = partition_from([1 / 6, 1 / 2, 1 / 6], [1.0, 1.2, 1.1], 0.01)
+        with pytest.raises(IndexError, match=f"interval index {j} out of range"):
+            direct1d.counterexample_shift(p, j)
 
     def test_negative_values_rejected(self):
         p = partition_from([1 / 6, 1 / 2, 1 / 6], [-1.0, 1.2, 1.1], 0.01)
@@ -146,12 +153,34 @@ class TestCounterexampleShift:
                 checked += 1
 
 
+def both_objectives(case):
+    return case.objective, lambda x: case.objective(x) + case.shift
+
+
+def replayed(objective, case, budget):
+    """Each iteration's interval endpoints and the endpoint set it chooses."""
+    out = []
+    for _, partition, chosen in direct1d.direct_iterations(
+            objective, case.lower, case.upper, case.epsilon, budget):
+        ends = [(iv.a, iv.b) for iv in partition.intervals]
+        out.append((ends, frozenset(ends[j] for j in chosen)))
+    return out
+
+
+def lifted_case(name, lift, factor):
+    """The builder's case on a built-in + lift, its shift times factor."""
+    fn, (lo, hi) = get_objective(name)
+    case = build_direct_counterexample(objective=lambda x: fn(x) + lift, lower=lo, upper=hi)
+    return dataclasses.replace(case, shift=factor * case.shift)
+
+
 class TestRunDirect:
     def test_budget_one_trisects_root(self):
         partition, trace = direct1d.run_direct(lambda x: x * x, 0.0, 1.0,
                                                budget=1)
         assert len(partition.intervals) == 3
         assert trace.iterations[0]["subdivided_indices"] == [0]
+        assert trace.partition is partition
 
     def test_quadratic_brackets_minimum(self):
         f = lambda x: (x - 0.3) ** 2 + 1.0
@@ -216,8 +245,33 @@ class TestRunDirect:
         case = build_direct_counterexample()
         mismatch, base, shifted = direct_homogeneity_check(case)
         assert mismatch is not None
-        assert base.subdivided_keys()[mismatch - 1] != \
-            shifted.subdivided_keys()[mismatch - 1]
+        indices = [[rec["subdivided_indices"] for rec in trace.iterations[:mismatch]]
+                   for trace in (base, shifted)]
+        assert indices[0][:-1] == indices[1][:-1] and indices[0][-1] != indices[1][-1]
+        # the same intervals stand at the mismatch, and different ones are chosen
+        (base_ivs, base_chosen), (shifted_ivs, shifted_chosen) = [
+            replayed(f, case, mismatch)[-1] for f in both_objectives(case)]
+        assert base_ivs == shifted_ivs and base_chosen != shifted_chosen
+
+
+class TestMismatchByEndpoints:
+    """The index comparison finds the iteration an endpoint comparison finds."""
+
+    @pytest.mark.parametrize("name, lift, factor", [
+        (None, 0.0, 1.0),
+        ("gramacy-lee", 1.5, 1.01),
+        ("rastrigin1d", 2.25, 10.0),
+        ("sin3x2", 3.0, 4.2),
+    ], ids=["default", "gramacy-lee", "rastrigin1d", "sin3x2"])
+    def test_first_endpoint_mismatch(self, name, lift, factor):
+        case = (build_direct_counterexample() if name is None
+                else lifted_case(name, lift, factor))
+        mismatch, _, _ = direct_homogeneity_check(case)
+        base, shifted = [[chosen for _, chosen in replayed(f, case, case.budget)]
+                         for f in both_objectives(case)]
+        by_endpoints = next((it for it, (kb, ks) in enumerate(zip(base, shifted), start=1)
+                             if kb != ks), None)
+        assert mismatch is not None and mismatch == by_endpoints
 
 
 # (found_at_iteration, interval_index, delta_f) of each built-in + 2.0,

@@ -19,6 +19,10 @@ The DIRECT runs (``direct_<objective>_trace.csv``) pin ``run_direct``'s
 trace on ``rastrigin1d`` at budget 24 (1,673 intervals) and on ``sin3x2`` at
 budget 40 (387 intervals), each over its default region.
 
+``example_fig1.csv`` pins the plot data ``example-fig1`` writes at its
+defaults: posterior mean, standard deviation and P criterion on a
+1001-point grid, for the five-point example's f and its affine image.
+
 The scaled runs (``scaled_run_*.csv``, the scaled side of a homogeneity
 check with a=3.9765, b=-7.3) and the extended-numeral runs pin their trace
 CSV in the normalized frame the scaled run works in; the numeral runs also
@@ -110,6 +114,11 @@ def _direct_demo_case(suffix):
     return produce
 
 
+def _fig1_case():
+    # the five-point planning example's plot data, at its defaults
+    return _cli_outputs(["example-fig1"], [""], cli.EXIT_OK)[0]
+
+
 def _numeral_indices():
     out = {}
     for name, objective, lower, upper in (("sin3x2", sin3x2, -1.0, 1.0),
@@ -145,6 +154,7 @@ CASES = {
     "direct_demo_trace.csv": _direct_demo_case("_trace.csv"),
     "direct_rastrigin1d_trace.csv": _direct_run_case("rastrigin1d", 24),
     "direct_sin3x2_trace.csv": _direct_run_case("sin3x2", 40),
+    "example_fig1.csv": _fig1_case,
     "numeral_grid_indices.json": _numeral_indices,
     "numeral_runs.json": _numeral_runs,
 }

@@ -321,6 +321,19 @@ class TestVisitedMask:
         assert all(r.degenerate_step for r in trace.records if r.iteration > 0)
         assert trace.grid_indices == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    @pytest.mark.parametrize("algorithm", [opt.P_ALGORITHM, opt.ONE_STEP_BAYES])
+    def test_fallback_ends_when_two_values_differ(self, algorithm, estimator):
+        # The values stay 4 through the design and four fallback steps; the
+        # fourth step observes 0.5, and from then on the criterion decides.
+        grid = opt.CandidateGrid([0.0], [1.0], 11)
+        design = np.array([[0.0], [0.1 + 5e-13], [0.35]])
+        trace = opt.run(algorithm, lambda x: 4.0 if x < 0.45 else x, [0.0], [1.0],
+                        budget=7, grid=grid, initial_design=design, estimator=estimator)
+        assert trace.grid_indices == [2, 3, 4, 5, 6, 7, 8]
+        assert [r.degenerate_step for r in trace.steps] == [True] * 4 + [False] * 3
+        assert [r.criterion is None for r in trace.steps] == [True] * 4 + [False] * 3
+
 
 class TestExactValue:
     def test_int_and_fraction_kept_exactly(self):

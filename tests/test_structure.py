@@ -138,22 +138,31 @@ FACTOR_NAMES = {name for name, _ in FACTOR_PATH}
 
 
 def use_sites(source: str, module: str, names) -> set:
-    """(name, enclosing module.class.function) for each use of ``names``."""
+    """(name, enclosing module.class.function) for each read of ``names``.
+
+    Assigning a name, as its definition does, is not a use.
+    """
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
+            read = isinstance(getattr(child, "ctx", None), ast.Load)
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Name) and child.id in names:
+            elif read and isinstance(child, ast.Name) and child.id in names:
                 found.add((child.id, scope))
-            elif isinstance(child, ast.Attribute) and child.attr in names:
+            elif read and isinstance(child, ast.Attribute) and child.attr in names:
                 found.add((child.attr, scope))
             visit(child, inner)
 
     visit(ast.parse(source), module)
     return found
+
+
+def sites_in_package(names) -> set:
+    return set().union(*(use_sites(path.read_text(), path.stem, names)
+                         for path in SOURCES))
 
 
 def test_factor_rule_catches_a_second_call_site():
@@ -166,9 +175,25 @@ def test_factor_rule_catches_a_second_call_site():
 
 
 def test_one_factor_path():
-    sites = set().union(*(use_sites(path.read_text(), path.stem, FACTOR_NAMES)
-                          for path in SOURCES))
-    assert sites == FACTOR_PATH
+    assert sites_in_package(FACTOR_NAMES) == FACTOR_PATH
+
+
+def test_use_sites_skip_the_definition():
+    source = ("DELTA_EQ_REL = 1e-9\n"
+              "def _length_classes(deltas, j):\n    return DELTA_EQ_REL * deltas\n"
+              "def csv_text(rows):\n    return csv.writer(buf).writerows(rows)\n")
+    assert use_sites(source, "m", {"DELTA_EQ_REL", "writer"}) == {
+        ("DELTA_EQ_REL", "m._length_classes"), ("writer", "m.csv_text")}
+
+
+def test_length_classes_read_in_one_place():
+    # The half-length classes under DELTA_EQ_REL have one home, which both
+    # the potentially-optimal test and the translation shift call.
+    assert sites_in_package({"DELTA_EQ_REL"}) == {("DELTA_EQ_REL", "direct1d._length_classes")}
+
+
+def test_one_csv_writer():
+    assert sites_in_package({"writer"}) == {("writer", "optimizer.csv_text")}
 
 
 def test_bench_tracer_installs_and_uninstalls(monkeypatch):
