@@ -6,8 +6,9 @@ interval j the returned shift threshold ``delta_f`` guarantees that any
 translation larger than ``delta_f / eps`` removes j from the set of
 potentially optimal intervals.
 
-A partition is immutable: its half-lengths, midpoint values and f_min are
-built once, as read-only float64 arrays, and every test of it reads them.
+A partition is immutable: its half-lengths, midpoint values, f_min and
+equal-length dominance mask are built once, as read-only arrays, and every
+test of it reads them.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class DirectPartition:
     f_min: float = field(init=False)
     deltas: np.ndarray = field(init=False, repr=False, compare=False)
     values: np.ndarray = field(init=False, repr=False, compare=False)
+    # dominated[j]: another interval as long as j has fc below fc_j - FEASIBILITY_SLACK
+    dominated: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
@@ -69,9 +72,17 @@ class DirectPartition:
             raise ValueError("partition must contain at least one interval")
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "f_min", min(iv.fc for iv in intervals))
-        for name, column in (("deltas", [iv.delta for iv in intervals]),
-                             ("values", [iv.fc for iv in intervals])):
-            array = np.array(column, dtype=float)
+        deltas = np.array([iv.delta for iv in intervals], dtype=float)
+        values = np.array([iv.fc for iv in intervals], dtype=float)
+        # The length classes relate the distinct half-lengths only, so each
+        # class's lowest fc is the minimum of its exact-length groups' minima.
+        lengths, group = np.unique(deltas, return_inverse=True)
+        group_min = np.full(lengths.size, np.inf)
+        np.minimum.at(group_min, group, values)
+        _, same, _ = _length_classes(lengths, np.arange(lengths.size))
+        class_min = np.where(same, group_min, np.inf).min(axis=1)
+        for name, array in (("deltas", deltas), ("values", values),
+                            ("dominated", class_min[group] < values - FEASIBILITY_SLACK)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -92,18 +103,22 @@ class PotentialOptimality:
     reason: str
 
 
-def _length_classes(deltas: np.ndarray, j: int):
-    """Masks of the intervals shorter than j, as long as j (j excluded), and longer.
-
-    Half-lengths within ``DELTA_EQ_REL`` of each other count as equal.
-    """
-    if not (0 <= j < deltas.size):
+def _checked_index(partition: DirectPartition, j: int) -> int:
+    if not (0 <= j < len(partition.intervals)):
         raise IndexError(f"interval index {j} out of range")
-    gap = deltas - deltas[j]
-    tol = DELTA_EQ_REL * np.maximum(deltas, deltas[j])
-    same = np.abs(gap) <= tol
-    same[j] = False
-    return gap < -tol, same, gap > tol
+    return j
+
+
+def _length_classes(deltas: np.ndarray, j):
+    """Masks of the intervals shorter than j, as long as j (j included), and longer.
+
+    Half-lengths within ``DELTA_EQ_REL`` of each other count as equal.  An
+    index array j gives one row of each mask per index.  The caller checks j.
+    """
+    dj = deltas[j, None]
+    gap = deltas - dj
+    tol = DELTA_EQ_REL * np.maximum(deltas, dj)
+    return gap < -tol, np.abs(gap) <= tol, gap > tol
 
 
 def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimality:
@@ -111,16 +126,16 @@ def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimali
 
     Accepts iff some L > 0 gives interval j the smallest Lipschitz lower
     bound and that bound undercuts f_min by the required relative margin.
+    The partition's dominance mask rejects most intervals before any array work.
     """
+    if partition.dominated[_checked_index(partition, j)]:
+        return PotentialOptimality(False, math.nan, math.nan,
+                                   "dominated by an equal-length interval")
     deltas, values = partition.deltas, partition.values
-    shorter, same, longer = _length_classes(deltas, j)
+    shorter, _, longer = _length_classes(deltas, j)
     dj, fj = deltas[j], values[j]
     f_min = partition.f_min
     eps = partition.epsilon
-
-    if np.any(values[same] < fj - FEASIBILITY_SLACK):
-        return PotentialOptimality(False, math.nan, math.nan,
-                                   "dominated by an equal-length interval")
 
     l_lo = (fj - f_min + eps * abs(f_min)) / dj
     if shorter.any():
@@ -144,7 +159,7 @@ def counterexample_shift(partition: DirectPartition, j: int) -> float:
     The potentially optimal test runs last, only for a j that passes the others.
     """
     deltas, values = partition.deltas, partition.values
-    _, _, longer = _length_classes(deltas, j)
+    _, _, longer = _length_classes(deltas, _checked_index(partition, j))
     dj, fj = deltas[j], values[j]
     if np.any(values <= 0):
         raise PreconditionError("all midpoint values must be positive")

@@ -175,7 +175,13 @@ class Moments(NamedTuple):
 
 
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    """The (len(a), len(b)) Euclidean distances, summed one axis at a time as
+    ``same_point`` tests them: no (len(a), len(b), d) array, and below 8 axes
+    the order of numpy's own sum, so the same bits."""
+    squared = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        squared += (a[:, None, k] - b[None, :, k]) ** 2
+    return np.sqrt(squared)
 
 
 def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from scaleopt import direct1d
@@ -54,6 +56,73 @@ class TestPotentiallyOptimal:
         p = partition_from([0.5], [3.0], 1e-4)
         with pytest.raises(IndexError):
             direct1d.potentially_optimal(p, 3)
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_out_of_range_index_not_wrapped(self, j):
+        # dominated[-1] is true here, so a wrapped -1 would return a decision
+        p = partition_from([0.25, 0.25], [1.0, 2.0], 1e-4)
+        assert p.dominated.tolist() == [False, True]
+        with pytest.raises(IndexError, match=f"interval index {j} out of range"):
+            direct1d.potentially_optimal(p, j)
+
+
+SLACK, REL = direct1d.FEASIBILITY_SLACK, direct1d.DELTA_EQ_REL
+
+
+@st.composite
+def awkward_partitions(draw):
+    """Partitions whose half-lengths lie a few ulps apart or just either side
+    of DELTA_EQ_REL, and whose values tie, differ by exactly FEASIBILITY_SLACK
+    or are so large that subtracting the slack leaves them unchanged."""
+    base = draw(st.sampled_from([1.0, 1 / 3, 1 / 27]))
+    scales = [1.0, 1 / 3, 1 / (1 - REL), 1 + REL * (1 - 1e-6), 1 + REL * (1 + 1e-6),
+              1 - REL * (1 - 1e-6), 1 - REL * (1 + 1e-6)]
+    lengths = st.builds(lambda scale, ulps: base * scale + ulps * math.ulp(base * scale),
+                        st.sampled_from(scales), st.integers(-3, 3))
+    level = draw(st.sampled_from([0.0, 1.0, -2.5, 2.0 ** 60]))
+    fcs = st.sampled_from([level, level + SLACK, level - SLACK, level + 2 * SLACK])
+    pairs = draw(st.lists(st.tuples(lengths, fcs), min_size=1, max_size=10))
+    return direct1d.DirectPartition([direct1d.Interval(0.0, 2 * d, f) for d, f in pairs])
+
+
+class TestDominanceMask:
+    """The mask built once per partition is the per-interval equal-length rule."""
+
+    @given(p=awkward_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_each_interval_s_own_class(self, p):
+        for j in range(len(p.intervals)):
+            _, same, _ = direct1d._length_classes(p.deltas, j)
+            same[j] = False
+            assert p.dominated[j] == np.any(p.values[same] < p.values[j] - SLACK)
+
+    def test_read_only_boolean(self):
+        p = partition_from([0.25, 0.25, 0.5], [1.0, 2.0, 0.0], 1e-4)
+        assert p.dominated.dtype == bool and p.dominated.tolist() == [False, True, False]
+        with pytest.raises(ValueError):
+            p.dominated[0] = True
+
+    def test_only_undominated_intervals_reach_the_closed_form(self, monkeypatch):
+        # DIRECT tests every interval of every partition once, and the
+        # benchmark's traced run counts on that.
+        test, classes = direct1d.potentially_optimal, direct1d._length_classes
+        tested, classed = [], []
+
+        def counted_classes(deltas, j):
+            if np.ndim(j) == 0:  # a partition's own mask passes an index array
+                classed.append(len(tested) - 1)
+            return classes(deltas, j)
+
+        monkeypatch.setattr(direct1d, "potentially_optimal",
+                            lambda p, j: tested.append((p, j)) or test(p, j))
+        monkeypatch.setattr(direct1d, "_length_classes", counted_classes)
+        objective, (lower, upper) = get_objective("rastrigin1d")
+        _, trace = direct1d.run_direct(objective, lower, upper, budget=10)
+        sizes = [rec["n_intervals"] - 2 * len(rec["subdivided_indices"])
+                 for rec in trace.iterations]
+        assert len(tested) == sum(sizes)
+        assert classed == [k for k, (p, j) in enumerate(tested) if not p.dominated[j]]
+        assert 0 < len(classed) < len(tested)
 
 
 class TestCachedPartition:

@@ -113,6 +113,13 @@ class TestCorrelationMatrix:
         ref = oracles.correlation_matrix_loop(FIG1_POINTS, KERNEL)
         np.testing.assert_allclose(s, ref, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_distances_have_the_bits_of_numpy_s_sum(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.uniform(-5.0, 5.0, (6, d)), rng.uniform(-5.0, 5.0, (40, d))
+        summed = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        np.testing.assert_array_equal(gp._cross_distances(a, b), summed)
+
     def test_squared_exponential(self):
         kernel = CorrelationKernel("squared-exponential", 2.0)
         h = history_1d(np.array([0.0, 0.5]), [0.0, 1.0])
