@@ -6,9 +6,9 @@ interval j the returned shift threshold ``delta_f`` guarantees that any
 translation larger than ``delta_f / eps`` removes j from the set of
 potentially optimal intervals.
 
-A partition is immutable: its half-lengths, midpoint values, f_min and
-equal-length dominance mask are built once, as read-only arrays, and every
-test of it reads them.
+A partition is immutable: its half-lengths, midpoint values, f_min, its
+exact-length groups with their lowest values, and its equal-length dominance
+mask are built once, as read-only arrays, and every test of it reads them.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class DirectPartition:
     f_min: float = field(init=False)
     deltas: np.ndarray = field(init=False, repr=False, compare=False)
     values: np.ndarray = field(init=False, repr=False, compare=False)
+    # the distinct half-lengths, each interval's index into them, and each one's lowest fc
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    group: np.ndarray = field(init=False, repr=False, compare=False)
+    group_min: np.ndarray = field(init=False, repr=False, compare=False)
     # dominated[j]: another interval as long as j has fc below fc_j - FEASIBILITY_SLACK
     dominated: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -71,9 +75,9 @@ class DirectPartition:
         if not intervals:
             raise ValueError("partition must contain at least one interval")
         object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "f_min", min(iv.fc for iv in intervals))
         deltas = np.array([iv.delta for iv in intervals], dtype=float)
         values = np.array([iv.fc for iv in intervals], dtype=float)
+        object.__setattr__(self, "f_min", float(values.min()))
         # The length classes relate the distinct half-lengths only, so each
         # class's lowest fc is the minimum of its exact-length groups' minima.
         lengths, group = np.unique(deltas, return_inverse=True)
@@ -81,7 +85,8 @@ class DirectPartition:
         np.minimum.at(group_min, group, values)
         _, same, _ = _length_classes(lengths, np.arange(lengths.size))
         class_min = np.where(same, group_min, np.inf).min(axis=1)
-        for name, array in (("deltas", deltas), ("values", values),
+        for name, array in (("deltas", deltas), ("values", values), ("lengths", lengths),
+                            ("group", group), ("group_min", group_min),
                             ("dominated", class_min[group] < values - FEASIBILITY_SLACK)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -101,6 +106,10 @@ class PotentialOptimality:
     l_lo: float
     l_hi: float
     reason: str
+
+
+# The one result of every dominated interval; frozen, so it is shared.
+_DOMINATED = PotentialOptimality(False, math.nan, math.nan, "dominated by an equal-length interval")
 
 
 def _checked_index(partition: DirectPartition, j: int) -> int:
@@ -126,23 +135,24 @@ def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimali
 
     Accepts iff some L > 0 gives interval j the smallest Lipschitz lower
     bound and that bound undercuts f_min by the required relative margin.
-    The partition's dominance mask rejects most intervals before any array work.
+    The partition's dominance mask rejects most intervals before any array
+    work.  The rest compare j with each exact-length group's lowest fc: the
+    group's intervals share one divisor, so its extreme slope is that one's.
     """
     if partition.dominated[_checked_index(partition, j)]:
-        return PotentialOptimality(False, math.nan, math.nan,
-                                   "dominated by an equal-length interval")
-    deltas, values = partition.deltas, partition.values
-    shorter, _, longer = _length_classes(deltas, j)
-    dj, fj = deltas[j], values[j]
+        return _DOMINATED
+    lengths, lowest = partition.lengths, partition.group_min
+    shorter, _, longer = _length_classes(lengths, partition.group[j])
+    dj, fj = partition.deltas[j], partition.values[j]
     f_min = partition.f_min
     eps = partition.epsilon
 
     l_lo = (fj - f_min + eps * abs(f_min)) / dj
     if shorter.any():
-        l_lo = max(l_lo, float(((fj - values[shorter]) / (dj - deltas[shorter])).max()))
+        l_lo = max(l_lo, float(((fj - lowest[shorter]) / (dj - lengths[shorter])).max()))
     l_hi = math.inf
     if longer.any():
-        l_hi = float(((values[longer] - fj) / (deltas[longer] - dj)).min())
+        l_hi = float(((lowest[longer] - fj) / (lengths[longer] - dj)).min())
 
     if l_hi <= 0:
         return PotentialOptimality(False, l_lo, l_hi, "no positive L admissible")

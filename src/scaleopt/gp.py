@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import (
     DuplicatePointsError,
@@ -247,7 +248,7 @@ class GridCorrelations:
     def _append(self, points: np.ndarray, i: int) -> bool:
         """Append point i's row of L, V and q; False if its pivot is below the floor."""
         s = self.kernel.of_distance(_cross_distances(points[i:i + 1], points[:i]))[0]
-        l = solve_triangular(self._lower[:i, :i], s, lower=True, check_finite=False)
+        l = _solve_lower(self._lower[:i, :i], s)
         pivot2 = 1.0 + self.jitter - l @ l
         if not pivot2 >= _PIVOT_FLOOR:
             return False
@@ -273,8 +274,37 @@ def _grown(array: np.ndarray, shape) -> np.ndarray:
 
 def _whitened(lower: np.ndarray, ups: np.ndarray):
     """V = L^-1 Upsilon and q, the column sums of V**2, in bulk."""
-    v = solve_triangular(lower, ups, lower=True, check_finite=False)
+    v = _solve_lower(lower, ups)
     return v, np.einsum("im,im->m", v, v)
+
+
+# LAPACK is called without SciPy's per-call wrappers, exactly as they call it
+# for the arrays passed here, so the bits are theirs.  Correlations are finite,
+# so only a right-hand side y - mu, which can overflow, is checked, as SciPy does.
+
+def _solved(result):
+    x, info = result
+    if info:
+        raise LinAlgError(f"LAPACK reported info {info}")
+    return x
+
+
+def cho_factor(a: np.ndarray, lower: bool = True):
+    """SciPy's ``cho_factor``: (c, lower), c holding the factor in that triangle
+    and a's entries in the other.  ``LinAlgError`` if a is not positive definite."""
+    return _solved(dpotrf(a, lower=lower, clean=0)), lower
+
+
+def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
+    """SciPy's ``cho_solve``: x with A x = b, from ``cho_factor``'s (c, lower)."""
+    c, lower = c_and_lower
+    return _solved(dpotrs(c, np.asarray_chkfinite(b), lower=lower))
+
+
+def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a lower-triangular L that is C-ordered or a strided view,
+    solved as (L')' x = b, which is SciPy's ``solve_triangular`` call for it."""
+    return _solved(dtrtrs(lower.T, b, lower=0, trans=1))
 
 
 def estimate_sample(history: EvaluationHistory) -> ModelParameters:

@@ -125,6 +125,66 @@ class TestDominanceMask:
         assert 0 < len(classed) < len(tested)
 
 
+def closed_form_per_interval(deltas, values, j, eps):
+    """The potentially-optimal closed form as (decision, l_lo, l_hi, reason),
+    with every interval compared one at a time in plain floats."""
+    dj, fj = deltas[j], values[j]
+    f_min = min(values)
+    shorter, longer = [], []
+    for k, (d, f) in enumerate(zip(deltas, values)):
+        tol = REL * max(d, dj)
+        if d - dj < -tol:
+            shorter.append((fj - f) / (dj - d))
+        elif d - dj > tol:
+            longer.append((f - fj) / (d - dj))
+        elif k != j and f < fj - SLACK:
+            return False, math.nan, math.nan, "dominated by an equal-length interval"
+    l_lo = max([(fj - f_min + eps * abs(f_min)) / dj] + shorter)
+    l_hi = min(longer, default=math.inf)
+    if l_hi <= 0:
+        return False, l_lo, l_hi, "no positive L admissible"
+    if max(l_lo, 0.0) <= l_hi + SLACK:
+        return True, l_lo, l_hi, "feasible L range"
+    return False, l_lo, l_hi, "lower bound exceeds upper bound"
+
+
+@st.composite
+def spread_partitions(draw):
+    """awkward_partitions with some values moved well apart, under any epsilon."""
+    p = draw(awkward_partitions())
+    moves = st.sampled_from([0.0, 0.0, 1 / 3, -0.5, 1.0, -(2.0 ** 40)])
+    shifted = [direct1d.Interval(iv.a, iv.b, iv.fc + draw(moves)) for iv in p.intervals]
+    return direct1d.DirectPartition(shifted, draw(st.sampled_from([1e-4, 1e-2, 0.5])))
+
+
+class TestGroupClosedForm:
+    """The test over the exact-length groups' lowest values is the closed form
+    over every interval, to the bit."""
+
+    @given(p=spread_partitions())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_interval_closed_form(self, p):
+        deltas, values = [iv.delta for iv in p.intervals], [iv.fc for iv in p.intervals]
+        for j in range(len(p.intervals)):
+            out = direct1d.potentially_optimal(p, j)
+            want = closed_form_per_interval(deltas, values, j, p.epsilon)
+            got = (out.decision, repr(float(out.l_lo)), repr(float(out.l_hi)), out.reason)
+            assert got == (want[0], repr(want[1]), repr(want[2]), want[3])
+            if p.dominated[j]:
+                assert out is direct1d._DOMINATED
+
+    def test_groups_are_read_only_and_match_a_rebuild(self):
+        objective, (lower, upper) = get_objective("rastrigin1d")
+        p = direct1d.run_direct(objective, lower, upper, budget=8)[0]
+        assert np.array_equal(p.lengths[p.group], p.deltas)
+        assert np.array_equal(p.group_min, [p.values[p.group == g].min()
+                                            for g in range(p.lengths.size)])
+        assert len(set(p.lengths.tolist())) == p.lengths.size < len(p.intervals)
+        for array in (p.lengths, p.group, p.group_min):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 class TestCachedPartition:
     """A partition builds its arrays once, from its intervals, read-only."""
 

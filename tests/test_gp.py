@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve
 from scaleopt import gp
 from scaleopt.errors import DuplicatePointsError, InsufficientDataError
 from scaleopt.gp import (
@@ -181,6 +182,64 @@ class TestMleEstimator:
             KERNEL)
         assert scaled.mu == pytest.approx(a * base.mu + b, rel=1e-9, abs=1e-9)
         assert scaled.sigma2 == pytest.approx(a * a * base.sigma2, rel=1e-9)
+
+
+class TestLapackCalls:
+    """gp's Cholesky factor and its solves are SciPy's, to the bit, on the
+    arrays gp passes: a C-ordered matrix, the strided leading block of a
+    larger C-ordered factor, and np.tril of a factor."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 5, 12):
+            a = rng.normal(size=(n, n))
+            yield a @ a.T + n * np.eye(n)
+        points = np.linspace(0.0, 1.0, 18)[:, None]
+        history = EvaluationHistory([0.0], [1.0], points, np.sin(3 * points[:, 0]))
+        for family in ("exponential", "squared-exponential"):
+            sigma = correlation_matrix(history, CorrelationKernel(family, 5.0))
+            for jitter in (0.0, 1e-12, 1e-10):
+                yield sigma + jitter * np.eye(len(sigma))
+
+    def test_equal_to_scipy(self):
+        rng = np.random.default_rng(29)
+        factored = failed = 0
+        for a in self.matrices():
+            n = len(a)
+            try:
+                want = cho_factor(a, lower=True)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    gp.cho_factor(a, lower=True)
+                failed += 1
+                continue
+            got = gp.cho_factor(a, lower=True)
+            assert np.array_equal(got[0], want[0]) and got[1] is True
+            lower = np.tril(got[0])
+            block = np.zeros((n + 3, n + 3))
+            block[:n, :n] = lower
+            for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
+                for c in (got[0], lower, block[:n, :n]):
+                    assert np.array_equal(gp.cho_solve((c, True), b), cho_solve((c, True), b))
+                assert np.array_equal(gp._solve_lower(lower, b),
+                                      solve_triangular(lower, b, lower=True))
+            for i in range(1, n + 1):  # the appended rows' views, 1 x 1 included
+                b = rng.normal(size=i)
+                assert np.array_equal(gp._solve_lower(block[:i, :i], b),
+                                      solve_triangular(block[:i, :i], b, lower=True))
+            factored += 1
+        assert factored == 9 and failed == 1  # the squared-exponential one without jitter
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(LinAlgError):
+            gp.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_non_finite_right_hand_side_raises(self):
+        # y - mu can overflow; SciPy's check on the right-hand side is kept
+        factor = gp.cho_factor(np.eye(2))
+        with pytest.raises(ValueError):
+            gp.cho_solve(factor, np.array([1.0, np.inf]))
 
 
 class TestPosteriorFactor:

@@ -13,7 +13,10 @@ a test also checks that it still finds each of them.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from scaleopt import gp
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "scaleopt").glob("*.py"))
@@ -208,3 +211,25 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     tracing.assert_untraced()
+
+
+def test_bench_tracer_counts_the_factor_and_solves(monkeypatch):
+    # The per-layer gp.cho_factor and gp.cho_solve metrics read these spans:
+    # an mle posterior whose first factor fails and is retried with jitter.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    points = np.linspace(0.0, 1.0, 18)[:, None]
+    history = gp.EvaluationHistory([0.0], [1.0], points, np.sin(3 * points[:, 0]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        posterior = gp.build_posterior(
+            history, gp.CorrelationKernel("squared-exponential", 5.0), "mle")
+    finally:
+        tracer.uninstall()
+    assert posterior.jitter > 0
+    assert tracer.names.count("gp.cho_factor") == 2
+    assert tracer.failed["gp.cho_factor"] == 1
+    assert tracer.names.count("gp.cho_solve") == 2
+    assert tracer.counts["posteriors_jittered"] == 1
