@@ -76,7 +76,7 @@ def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLeve
     s = np.sqrt(variances)
     degenerate = s <= DEGENERATE_FACTOR * posterior.parameters.sigma
     if kind == P_CRITERION:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values = (asp.y_on - means) / np.where(degenerate, 1.0, s)
         values = np.where(degenerate, -np.inf, values)
     elif kind == EXPECTED_IMPROVEMENT:

@@ -69,6 +69,9 @@ def _apply_config_file(parser, args, argv):
     unknown = {k.replace("-", "_") for k in data} - set(vars(args))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    not_flags = sorted(k for k, v in data.items() if type(v) not in (str, int, float))
+    if not_flags:
+        raise ConfigError(f"config values must be JSON strings or numbers: {not_flags}")
     file_flags = [f"--{key.replace('_', '-')}={value}" for key, value in data.items()]
     split = argv.index(args.command) + 1
     return parser.parse_args(argv[:split] + file_flags + argv[split:])
@@ -147,7 +150,7 @@ def cmd_example_fig1(args) -> int:
         estimator=args.estimator, epsilon=args.epsilon, resolution=args.grid_resolution))
     cols = ["x", "m_f", "s_f", "crit_f", "m_phi", "s_phi", "crit_phi"]
     _write(args.output, optimizer.csv_text([cols] + [
-        [repr(float(v)) for v in row] for row in zip(*(data[c] for c in cols))]))
+        [float(v) for v in row] for row in zip(*(data[c] for c in cols))]))
     print(f"printed-phi max deviation from a*f+b: {data['printed_phi_deviation']!r}")
     print(f"aspiration levels: y_on={data['y_on_f']!r} z_on={data['y_on_phi']!r}")
     print(f"criterion argmax: f -> {data['argmax_f']}, phi -> {data['argmax_phi']}")

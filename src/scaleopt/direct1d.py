@@ -208,7 +208,7 @@ class DirectTrace:
     def to_csv(self) -> str:
         return csv_text([["iter", "subdivided_indices", "f_min", "n_intervals"]] + [
             [rec["iter"], ";".join(str(i) for i in rec["subdivided_indices"]),
-             repr(rec["f_min"]), rec["n_intervals"]] for rec in self.iterations])
+             rec["f_min"], rec["n_intervals"]] for rec in self.iterations])
 
 
 def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> DirectPartition:

@@ -130,7 +130,9 @@ def select_best(values: np.ndarray, eligible: np.ndarray,
 
 
 def csv_text(rows) -> str:
-    """Rows as CSV text, each line ending in a newline: the one CSV writer."""
+    """Rows as CSV text, each line ending in a newline: the one CSV writer.
+
+    A float cell is written as its ``repr``, a None cell as an empty one."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -173,47 +175,32 @@ class OptimizationTrace:
         best = min((r for r in self.records), key=lambda r: r.value)
         return best.point
 
-    def _rows(self):
+    def _table(self):
+        """The header, then each record's ints, floats and Nones."""
         dim = self.records[0].point.size if self.records else 1
         header = (["iter", "grid_index"] + [f"x{k}" for k in range(dim)]
                   + ["y", "criterion", "mu", "sigma2", "y_on", "best"])
-        rows = [header]
-        for r in self.records:
-            rows.append(
-                [r.iteration, r.grid_index]
-                + [repr(float(c)) for c in r.point]
-                + [repr(float(r.value))]
-                + ["" if v is None else repr(float(v))
-                   for v in (r.criterion, r.mu, r.sigma2, r.y_on)]
-                + [repr(float(r.best))]
-            )
-        return rows
+        return [header] + [
+            [r.iteration, r.grid_index, *map(float, r.point), float(r.value),
+             *(None if v is None else float(v) for v in (r.criterion, r.mu, r.sigma2, r.y_on)),
+             float(r.best)]
+            for r in self.records]
 
     def to_csv(self) -> str:
-        return csv_text(self._rows())
+        return csv_text(self._table())
 
     def to_json(self) -> str:
-        header, *rows = self._rows()
-        records = []
-        for row in rows:
-            rec = {}
-            for key, cell in zip(header, row):
-                if cell == "":
-                    rec[key] = None
-                elif key in ("iter", "grid_index"):
-                    rec[key] = int(cell)
-                else:
-                    rec[key] = float(cell)
-            records.append(rec)
-        return json.dumps({"algorithm": self.algorithm, "records": records}, indent=2)
+        header, *rows = self._table()
+        return json.dumps({"algorithm": self.algorithm,
+                           "records": [dict(zip(header, row)) for row in rows]}, indent=2)
 
 
-def default_initial_design(lower, upper, count: int = 5) -> np.ndarray:
-    """Deterministic starting design: equispaced in 1-D, corners+center else."""
+def default_initial_design(lower, upper) -> np.ndarray:
+    """Deterministic starting design: 5 equispaced points in 1-D, corners+center else."""
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     if lower.size == 1:
-        return np.linspace(lower[0], upper[0], count)[:, None]
+        return np.linspace(lower[0], upper[0], 5)[:, None]
     corners = np.stack(np.meshgrid(*zip(lower, upper), indexing="ij"),
                        axis=-1).reshape(-1, lower.size)
     center = 0.5 * (lower + upper)

@@ -5,8 +5,9 @@ import shlex
 from pathlib import Path
 
 import pytest
+from numpy.linalg import LinAlgError
 
-from scaleopt import cli, direct1d, harness, objectives, optimizer
+from scaleopt import cli, direct1d, gp, harness, objectives, optimizer
 
 
 def run_cli(args):
@@ -54,6 +55,17 @@ class TestRun:
         code = run_cli(["run", "--budget", "2", "--output", str(tmp_path / "t")])
         assert code == cli.EXIT_NUMERICAL
 
+    def test_unfactorizable_model_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no diagonal jitter makes S factorizable
+        def not_positive_definite(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "cho_factor", not_positive_definite)
+        code = run_cli(["run", "--budget", "2", "--output", str(tmp_path / "t")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "not factorizable with jitter" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"objective": "sin3x2", "budget": 3}))
@@ -72,6 +84,27 @@ class TestRun:
     def test_missing_config_file_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent.json"]) == \
             cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "output", "null"),
+        ("run", "output", "true"),
+        ("run", "output", "false"),
+        ("run", "output", '["t"]'),
+        ("run", "output", '{"t": 1}'),
+        ("run", "budget", "[3]"),
+        ("homogeneity", "a", "null"),
+    ], ids=["output-null", "output-true", "output-false", "output-list", "output-object",
+            "budget-list", "a-null"])
+    def test_config_value_not_string_or_number_exits_2(self, command, key, value, tmp_path,
+                                                        capsys, monkeypatch, calls):
+        # a null or true would otherwise reach the flag as the text None or True
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(f'{{"{key}": {value}}}')
+        assert run_cli([command, "--config", "cfg.json"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be JSON strings or numbers" in err and repr(key) in err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestHomogeneity:
@@ -120,6 +153,9 @@ class TestHomogeneity:
                         "--budget", "2"]) == cli.EXIT_CONFIG
 
 
+_NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 @pytest.mark.parametrize("args, config, code", [
     # config file values are parsed with the types and choices of the flags
     pytest.param(["run", "--budget", "3"], '{"budget": 2.5}', cli.EXIT_CONFIG,
@@ -163,11 +199,15 @@ class TestHomogeneity:
     pytest.param(["run", "--kernel-c", "inf"], None, cli.EXIT_CONFIG, id="run-kernel-c-inf"),
     # a finite epsilon whose aspiration level overflows: EI takes its limit 0
     # and P ranks every candidate -inf, so each step takes the lowest
-    # unvisited index
+    # unvisited index, with no warning
     pytest.param(["run", "--algorithm", "ei", "--epsilon", "1e308", "--budget", "3"], None,
-                 cli.EXIT_OK, id="run-ei-epsilon-huge"),
+                 cli.EXIT_OK, id="run-ei-epsilon-huge", marks=_NO_RUNTIME_WARNING),
     pytest.param(["run", "--objective", "gramacy-lee", "--epsilon", "1e308", "--budget", "3"],
-                 None, cli.EXIT_OK, id="run-aspiration-overflow"),
+                 None, cli.EXIT_OK, id="run-aspiration-overflow", marks=_NO_RUNTIME_WARNING),
+    *(pytest.param(["run", "--kernel", kernel, "--epsilon", "1e308", "--budget", "3"], None,
+                   cli.EXIT_OK, id=f"run-p-criterion-overflow-{kernel}",
+                   marks=_NO_RUNTIME_WARNING)
+      for kernel in ("exponential", "squared-exponential")),
     # numeral literals must fit in float64
     pytest.param(["homogeneity", "--a", "1e400", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-a-overflow"),
@@ -278,6 +318,15 @@ class TestDirectDemo:
                    else "epsilon must lie in (0, 1)")
         assert message in capsys.readouterr().err
         assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_budget_without_a_counterexample_exits_2(self, tmp_path, monkeypatch, capsys):
+        # one iteration leaves only the root interval, which has no longer neighbour
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["homogeneity", "--algorithm", "direct", "--budget", "1",
+                        "--output", "demo"])
+        assert code == cli.EXIT_CONFIG
+        assert "no suitable interval found" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [["--output", "demo"], []])

@@ -244,6 +244,13 @@ class TestCounterexampleShift:
         with pytest.raises(PreconditionError):
             direct1d.counterexample_shift(p, 1)
 
+    def test_interval_not_potentially_optimal_rejected(self):
+        # interval 2 has the longer neighbour 1, but interval 0 has its length
+        # and a lower value
+        p = partition_from([1 / 6, 1 / 2, 1 / 6], [1.0, 1.2, 1.1], 0.01)
+        with pytest.raises(PreconditionError, match="interval 2 is not potentially optimal"):
+            direct1d.counterexample_shift(p, 2)
+
     @pytest.mark.parametrize("j", [-1, 3])
     def test_out_of_range_index(self, j):
         p = partition_from([1 / 6, 1 / 2, 1 / 6], [1.0, 1.2, 1.1], 0.01)

@@ -54,6 +54,10 @@ class TestArithmetic:
     def test_subtraction_to_zero(self):
         assert ((3 * G + 2) - (3 * G + 2)).is_zero
 
+    def test_reflected_subtraction(self):
+        assert 1 - G == N(g0=1.0, g1=-1.0)
+        assert 2.5 - (G + 2.5) == -G
+
     def test_near_cancellation_keeps_residue(self):
         # 1 - 1e-16 rounds to 1 - 2**-53, so the sum is exactly 2**-53
         out = G + ExtendedNumeral({1: -(1.0 - 1e-16)})
@@ -99,6 +103,7 @@ class TestDivision:
 class TestOrder:
     def test_infinite_dominates_finite(self):
         assert G > 1e300
+        assert G >= 1 and G >= G and not 1 - G >= 0
 
     def test_infinitesimal_between_zero_and_any_positive(self):
         inv = ExtendedNumeral({-1: 1.0})

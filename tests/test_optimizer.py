@@ -425,6 +425,44 @@ class TestTraceSerialization:
         assert data["records"][0]["criterion"] is None
 
 
+def text_oracle(trace):
+    """A trace's CSV and JSON built from text: each cell formatted, then parsed back."""
+    header = (["iter", "grid_index"] + [f"x{k}" for k in range(trace.records[0].point.size)]
+              + ["y", "criterion", "mu", "sigma2", "y_on", "best"])
+    rows = [[str(r.iteration), str(r.grid_index)] + [repr(float(c)) for c in r.point]
+            + ["" if v is None else repr(float(v))
+               for v in (r.value, r.criterion, r.mu, r.sigma2, r.y_on, r.best)]
+            for r in trace.records]
+    records = [{key: None if cell == "" else int(cell) if key in ("iter", "grid_index")
+                else float(cell) for key, cell in zip(header, row)} for row in rows]
+    return (opt.csv_text([header] + rows),
+            json.dumps({"algorithm": trace.algorithm, "records": records}, indent=2))
+
+
+def surface_2d(x):
+    return math.sin(5.0 * x[0]) * math.cos(7.0 * x[1]) + 0.3 * x[0]
+
+
+class TestTraceWriters:
+    def test_csv_cells(self):
+        # ints as digits, None empty, each float as its repr
+        row = [0, None, 0.1, 1e16, 1e-05, -0.0, math.inf, math.nan, 3]
+        assert opt.csv_text([row]) == "0,,0.1,1e+16,1e-05,-0.0,inf,nan,3\n"
+
+    @pytest.mark.parametrize("make", [
+        lambda: opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=8),
+        lambda: opt.run(opt.ONE_STEP_BAYES, sin3x2, [-1.0], [1.0], budget=8),
+        lambda: opt.run(opt.P_ALGORITHM, surface_2d, [0.0, 0.0], [1.0, 1.0], budget=8,
+                        grid=opt.CandidateGrid.for_region([0.0, 0.0], [1.0, 1.0], 21)),
+        # sigma2 in the objective's units is inf on every step
+        lambda: opt.run(opt.P_ALGORITHM, lambda x: Fraction(1e200) * Fraction(sin3x2(x)),
+                        [-1.0], [1.0], budget=8),
+    ], ids=["p", "ei", "2d", "sigma2-inf"])
+    def test_writers_equal_the_text_oracle(self, make):
+        trace = make()
+        assert (trace.to_csv(), trace.to_json()) == text_oracle(trace)
+
+
 class TestInitialDesign:
     def test_1d_equispaced(self):
         design = opt.default_initial_design([-1.0], [1.0])
