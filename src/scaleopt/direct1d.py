@@ -9,13 +9,19 @@ potentially optimal intervals.
 A partition is immutable: its half-lengths, midpoint values, f_min, its
 exact-length groups with their lowest values, and its equal-length dominance
 mask are built once, as read-only arrays, and every test of it reads them.
+The closed form of every undominated interval is computed in one array pass,
+on the partition's first undominated test.  A child partition is spliced from
+its parent's intervals and arrays, so only the trisected intervals are read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +50,8 @@ class Interval:
     def __post_init__(self):
         if not (self.a < self.b):
             raise ValueError("interval needs a < b")
+        if not math.isfinite(self.b - self.a):  # so a and b are finite too
+            raise ValueError("interval needs finite endpoints and length")
         if not math.isfinite(self.fc):
             raise ValueError("midpoint value must be finite")
 
@@ -74,22 +82,60 @@ class DirectPartition:
         intervals = tuple(self.intervals)
         if not intervals:
             raise ValueError("partition must contain at least one interval")
-        object.__setattr__(self, "intervals", intervals)
-        deltas = np.array([iv.delta for iv in intervals], dtype=float)
-        values = np.array([iv.fc for iv in intervals], dtype=float)
-        object.__setattr__(self, "f_min", float(values.min()))
-        # The length classes relate the distinct half-lengths only, so each
-        # class's lowest fc is the minimum of its exact-length groups' minima.
-        lengths, group = np.unique(deltas, return_inverse=True)
-        group_min = np.full(lengths.size, np.inf)
-        np.minimum.at(group_min, group, values)
-        _, same, _ = _length_classes(lengths, np.arange(lengths.size))
-        class_min = np.where(same, group_min, np.inf).min(axis=1)
-        for name, array in (("deltas", deltas), ("values", values), ("lengths", lengths),
-                            ("group", group), ("group_min", group_min),
-                            ("dominated", class_min[group] < values - FEASIBILITY_SLACK)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        _freeze(self, intervals, np.array([iv.delta for iv in intervals], dtype=float),
+                np.array([iv.fc for iv in intervals], dtype=float))
+
+    @cached_property
+    def closed_forms(self) -> dict:
+        """Each undominated interval's ``PotentialOptimality``, by index.
+
+        One array pass: row k compares the k-th undominated interval with each
+        exact-length group's lowest fc.  A group's intervals share one divisor,
+        so its extreme slope is that one's, and the max and min over the masked
+        slopes are the same bits as over the intervals one at a time (which
+        zero a tie of slopes +0.0 and -0.0 gives is numpy's choice).
+        """
+        tested = np.flatnonzero(~self.dominated)
+        lengths, lowest = self.lengths, self.group_min
+        shorter, _, longer = _length_classes(lengths, self.group[tested])
+        dj, fj = self.deltas[tested, None], self.values[tested, None]
+        l_lo = (fj[:, 0] - self.f_min + self.epsilon * abs(self.f_min)) / dj[:, 0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            below = np.where(shorter, (fj - lowest) / (dj - lengths), -np.inf).max(axis=1)
+            l_hi = np.where(longer, (lowest - fj) / (lengths - dj), np.inf).min(axis=1)
+        l_lo = np.where(below > l_lo, below, l_lo)  # Python's max(l_lo, below)
+        positive = ~(l_hi <= 0)
+        accept = positive & (np.maximum(l_lo, 0.0) <= l_hi + FEASIBILITY_SLACK)
+        reasons = ["feasible L range" if ok else "lower bound exceeds upper bound" if pos
+                   else "no positive L admissible"
+                   for pos, ok in zip(positive.tolist(), accept.tolist())]
+        return dict(zip(tested.tolist(), map(PotentialOptimality, accept.tolist(),
+                                             l_lo.tolist(), l_hi.tolist(), reasons)))
+
+    def subdivide(self, chosen, objective: Callable) -> DirectPartition:
+        """The partition with the chosen intervals trisected, in partition order.
+
+        The children are spliced into this partition's intervals, half-lengths
+        and values; the arrays over every half-length are derived as the
+        constructor derives them.
+        """
+        chosen = sorted({_checked_index(self, j) for j in chosen})
+        children = [trisect(self.intervals[j], objective) for j in chosen]
+
+        def splice(old, new):
+            pieces, start = [], 0
+            for j, part in zip(chosen, new):
+                pieces += [old[start:j], part]
+                start = j + 1
+            return pieces + [old[start:]]
+
+        child = object.__new__(DirectPartition)
+        object.__setattr__(child, "epsilon", self.epsilon)
+        return _freeze(child, tuple(chain.from_iterable(splice(self.intervals, children))),
+                       np.concatenate(splice(self.deltas, [[iv.delta for iv in part]
+                                                           for part in children])),
+                       np.concatenate(splice(self.values, [[iv.fc for iv in part]
+                                                           for part in children])))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -112,7 +158,31 @@ class PotentialOptimality:
 _DOMINATED = PotentialOptimality(False, math.nan, math.nan, "dominated by an equal-length interval")
 
 
-def _checked_index(partition: DirectPartition, j: int) -> int:
+def _freeze(partition: DirectPartition, intervals: tuple, deltas: np.ndarray,
+            values: np.ndarray) -> DirectPartition:
+    """Set the intervals and the read-only arrays derived from their half-lengths and values."""
+    object.__setattr__(partition, "intervals", intervals)
+    object.__setattr__(partition, "f_min", float(values.min()))
+    # The length classes relate the distinct half-lengths only, so each
+    # class's lowest fc is the minimum of its exact-length groups' minima.
+    lengths, group = np.unique(deltas, return_inverse=True)
+    group_min = np.full(lengths.size, np.inf)
+    np.minimum.at(group_min, group, values)
+    _, same, _ = _length_classes(lengths, np.arange(lengths.size))
+    class_min = np.where(same, group_min, np.inf).min(axis=1)
+    for name, array in (("deltas", deltas), ("values", values), ("lengths", lengths),
+                        ("group", group), ("group_min", group_min),
+                        ("dominated", class_min[group] < values - FEASIBILITY_SLACK)):
+        array.flags.writeable = False
+        object.__setattr__(partition, name, array)
+    return partition
+
+
+def _checked_index(partition: DirectPartition, j) -> int:
+    if type(j) is not int:  # a bool is no index, though it has __index__
+        if isinstance(j, bool) or not hasattr(type(j), "__index__"):
+            raise TypeError(f"interval index must be an integer, not {type(j).__name__}")
+        j = operator.index(j)
     if not (0 <= j < len(partition.intervals)):
         raise IndexError(f"interval index {j} out of range")
     return j
@@ -136,29 +206,12 @@ def potentially_optimal(partition: DirectPartition, j: int) -> PotentialOptimali
     Accepts iff some L > 0 gives interval j the smallest Lipschitz lower
     bound and that bound undercuts f_min by the required relative margin.
     The partition's dominance mask rejects most intervals before any array
-    work.  The rest compare j with each exact-length group's lowest fc: the
-    group's intervals share one divisor, so its extreme slope is that one's.
+    work; the rest read the partition's ``closed_forms``.
     """
-    if partition.dominated[_checked_index(partition, j)]:
+    j = _checked_index(partition, j)
+    if partition.dominated[j]:
         return _DOMINATED
-    lengths, lowest = partition.lengths, partition.group_min
-    shorter, _, longer = _length_classes(lengths, partition.group[j])
-    dj, fj = partition.deltas[j], partition.values[j]
-    f_min = partition.f_min
-    eps = partition.epsilon
-
-    l_lo = (fj - f_min + eps * abs(f_min)) / dj
-    if shorter.any():
-        l_lo = max(l_lo, float(((fj - lowest[shorter]) / (dj - lengths[shorter])).max()))
-    l_hi = math.inf
-    if longer.any():
-        l_hi = float(((lowest[longer] - fj) / (lengths[longer] - dj)).min())
-
-    if l_hi <= 0:
-        return PotentialOptimality(False, l_lo, l_hi, "no positive L admissible")
-    if max(l_lo, 0.0) <= l_hi + FEASIBILITY_SLACK:
-        return PotentialOptimality(True, l_lo, l_hi, "feasible L range")
-    return PotentialOptimality(False, l_lo, l_hi, "lower bound exceeds upper bound")
+    return partition.closed_forms[j]
 
 
 def counterexample_shift(partition: DirectPartition, j: int) -> float:
@@ -169,7 +222,8 @@ def counterexample_shift(partition: DirectPartition, j: int) -> float:
     The potentially optimal test runs last, only for a j that passes the others.
     """
     deltas, values = partition.deltas, partition.values
-    _, _, longer = _length_classes(deltas, _checked_index(partition, j))
+    j = _checked_index(partition, j)
+    _, _, longer = _length_classes(deltas, j)
     dj, fj = deltas[j], values[j]
     if np.any(values <= 0):
         raise PreconditionError("all midpoint values must be positive")
@@ -211,14 +265,6 @@ class DirectTrace:
              rec["f_min"], rec["n_intervals"]] for rec in self.iterations])
 
 
-def _subdivide(partition: DirectPartition, chosen, objective: Callable) -> DirectPartition:
-    """Trisect the chosen intervals, keeping the order of the partition."""
-    chosen = set(chosen)
-    return DirectPartition([part for idx, iv in enumerate(partition.intervals)
-                            for part in (trisect(iv, objective) if idx in chosen else [iv])],
-                           partition.epsilon)
-
-
 def direct_iterations(objective: Callable, lower: float, upper: float,
                       epsilon: float, budget: int):
     """DIRECT on [lower, upper] as a lazy sequence of at most ``budget`` iterations.
@@ -230,11 +276,14 @@ def direct_iterations(objective: Callable, lower: float, upper: float,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     DirectPartition([Interval(lower, upper, 0.0)], epsilon)  # checks region and epsilon
-    root = Interval(lower, upper, _evaluate(objective, 0.5 * (lower + upper)))
+    center = 0.5 * (lower + upper)
+    if not math.isfinite(center):
+        raise ValueError("region midpoint overflows float64")
+    root = Interval(lower, upper, _evaluate(objective, center))
     partition = DirectPartition([root], epsilon)
     for it in range(1, budget + 1):
         if it > 1:
-            partition = _subdivide(partition, chosen, objective)
+            partition = partition.subdivide(chosen, objective)
         chosen = [j for j in range(len(partition.intervals))
                   if potentially_optimal(partition, j).decision]
         yield it, partition, chosen
@@ -254,5 +303,5 @@ def run_direct(objective: Callable, lower: float, upper: float,
             "f_min": partition.f_min,
             "n_intervals": len(partition.intervals) + 2 * len(chosen),
         })
-    trace.partition = _subdivide(partition, chosen, objective)
+    trace.partition = partition.subdivide(chosen, objective)
     return trace.partition, trace

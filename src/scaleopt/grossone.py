@@ -161,6 +161,8 @@ class ExtendedNumeral:
     def __eq__(self, other):
         if not isinstance(other, (ExtendedNumeral, int, float, Fraction)):
             return NotImplemented
+        if isinstance(other, float) and not math.isfinite(other):
+            return False  # every numeral has finite coefficients
         return self.compare(other) == 0
 
     def __hash__(self):
@@ -202,6 +204,8 @@ def _coefficient_text(c: Fraction) -> str:
 def _coerce(value) -> ExtendedNumeral:
     if isinstance(value, ExtendedNumeral):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite, so it is no extended numeral")
     if isinstance(value, (int, float, Fraction)):
         return ExtendedNumeral({0: value})
     raise TypeError(f"cannot interpret {value!r} as an extended numeral")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestPotentiallyOptimal:
         with pytest.raises(IndexError):
             direct1d.potentially_optimal(p, 3)
 
+    @pytest.mark.parametrize("j, kind", [(True, "bool"), (np.True_, "bool"), (0.0, "float"),
+                                         ("0", "str")])
+    def test_index_that_is_not_an_integer(self, j, kind):
+        p = partition_from([0.25, 0.25], [1.0, 2.0], 1e-4)
+        with pytest.raises(TypeError, match=f"interval index must be an integer, not {kind}"):
+            direct1d.potentially_optimal(p, j)
+
+    def test_numpy_integer_index(self):
+        p = partition_from([0.25, 0.25], [1.0, 2.0], 1e-4)
+        assert direct1d.potentially_optimal(p, np.int64(0)).decision
+
     @pytest.mark.parametrize("j", [-1, 2])
     def test_out_of_range_index_not_wrapped(self, j):
         # dominated[-1] is true here, so a wrapped -1 would return a decision
@@ -104,24 +116,40 @@ class TestDominanceMask:
 
     def test_only_undominated_intervals_reach_the_closed_form(self, monkeypatch):
         # DIRECT tests every interval of every partition once, and the
-        # benchmark's traced run counts on that.
+        # benchmark's traced run counts on that.  A partition runs the closed
+        # form once, on its first undominated test, over the groups of all its
+        # undominated intervals.
         test, classes = direct1d.potentially_optimal, direct1d._length_classes
-        tested, classed = [], []
+        tested, classed, testing = [], [], []
+
+        def counted_test(p, j):
+            tested.append((p, j))
+            testing.append(p)
+            try:
+                return test(p, j)
+            finally:
+                testing.pop()
 
         def counted_classes(deltas, j):
-            if np.ndim(j) == 0:  # a partition's own mask passes an index array
-                classed.append(len(tested) - 1)
+            if testing:  # a partition's own mask is built outside any test
+                classed.append((len(tested) - 1, testing[-1], np.array(j)))
             return classes(deltas, j)
 
-        monkeypatch.setattr(direct1d, "potentially_optimal",
-                            lambda p, j: tested.append((p, j)) or test(p, j))
+        monkeypatch.setattr(direct1d, "potentially_optimal", counted_test)
         monkeypatch.setattr(direct1d, "_length_classes", counted_classes)
         objective, (lower, upper) = get_objective("rastrigin1d")
         _, trace = direct1d.run_direct(objective, lower, upper, budget=10)
         sizes = [rec["n_intervals"] - 2 * len(rec["subdivided_indices"])
                  for rec in trace.iterations]
         assert len(tested) == sum(sizes)
-        assert classed == [k for k, (p, j) in enumerate(tested) if not p.dominated[j]]
+        first_undominated = {}
+        for k, (p, j) in enumerate(tested):
+            if not p.dominated[j]:
+                first_undominated.setdefault(id(p), (k, p))
+        assert [(k, id(p)) for k, p, _ in classed] == [
+            (k, id(p)) for k, p in first_undominated.values()]
+        for _, p, groups in classed:
+            assert np.array_equal(groups, p.group[np.flatnonzero(~p.dominated)])
         assert 0 < len(classed) < len(tested)
 
 
@@ -173,6 +201,18 @@ class TestGroupClosedForm:
             if p.dominated[j]:
                 assert out is direct1d._DOMINATED
 
+    def test_signed_zero_slopes(self):
+        # interval 0's shorter slope is -0.0 and its own bound +0.0: Python's
+        # max keeps the first of equal values, and the closed form must too
+        p = direct1d.DirectPartition([direct1d.Interval(0.0, 1.0, -0.0),
+                                      direct1d.Interval(1.0, 1.5, 0.0)])
+        deltas, values = p.deltas.tolist(), p.values.tolist()
+        for j in range(2):
+            out = direct1d.potentially_optimal(p, j)
+            want = closed_form_per_interval(deltas, values, j, p.epsilon)
+            assert (out.decision, repr(out.l_lo), repr(out.l_hi), out.reason) == (
+                want[0], repr(want[1]), repr(want[2]), want[3])
+
     def test_groups_are_read_only_and_match_a_rebuild(self):
         objective, (lower, upper) = get_objective("rastrigin1d")
         p = direct1d.run_direct(objective, lower, upper, budget=8)[0]
@@ -183,6 +223,69 @@ class TestGroupClosedForm:
         for array in (p.lengths, p.group, p.group_min):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def assert_same_partition(p, q):
+    """p and q hold the same intervals, arrays and closed forms, to the bit."""
+    assert p.intervals == q.intervals and p.epsilon == q.epsilon
+    assert repr(p.f_min) == repr(q.f_min)
+    for name in ("deltas", "values", "lengths", "group", "group_min", "dominated"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype and not a.flags.writeable
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    bits = lambda out: (out.decision, repr(out.l_lo), repr(out.l_hi), out.reason)
+    assert p.closed_forms.keys() == q.closed_forms.keys()
+    for j, out in p.closed_forms.items():
+        assert bits(out) == bits(q.closed_forms[j])
+
+
+BUILT_INS = ["gramacy-lee", "rastrigin1d", "sin3x2"]
+
+
+class TestSplicedPartition:
+    """A child partition spliced from its parent is the one built from its intervals."""
+
+    @pytest.mark.parametrize("name", BUILT_INS)
+    def test_every_iteration_equals_a_rebuild(self, name):
+        objective, (lower, upper) = get_objective(name)
+        for _, p, _ in direct1d.direct_iterations(objective, lower, upper, 1e-4, 15):
+            assert_same_partition(p, direct1d.DirectPartition(p.intervals, p.epsilon))
+
+    @given(p=awkward_partitions(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_awkward_partitions_subdivided(self, p, data):
+        chosen = data.draw(st.sets(st.integers(0, len(p.intervals) - 1)))
+        levels = data.draw(st.lists(st.sampled_from(p.values.tolist()), min_size=1))
+        objective = lambda x: levels[math.floor(x * 7919) % len(levels)]
+        child = p.subdivide(chosen, objective)
+        assert child.intervals == tuple(
+            part for j, iv in enumerate(p.intervals)
+            for part in (direct1d.trisect(iv, objective) if j in chosen else [iv]))
+        assert_same_partition(child, direct1d.DirectPartition(child.intervals, p.epsilon))
+
+    def test_trisects_in_partition_order(self):
+        p = partition_from([1 / 6, 1 / 2, 1 / 6], [1.0, 1.2, 1.1], 0.01)
+        points = []
+        p.subdivide([2, 0, 2], lambda x: points.append(x) or 1.0)
+        assert points == sorted(points) and len(points) == 4
+
+    def test_chosen_index_checked(self):
+        p = partition_from([0.5], [3.0], 1e-4)
+        with pytest.raises(IndexError, match="interval index 1 out of range"):
+            p.subdivide([1], lambda x: 0.0)
+
+
+class TestResultType:
+    def test_bounds_are_python_floats_on_every_test(self, monkeypatch):
+        results, test = [], direct1d.potentially_optimal
+        monkeypatch.setattr(direct1d, "potentially_optimal",
+                            lambda p, j: results.append(test(p, j)) or results[-1])
+        for name in BUILT_INS:
+            objective, (lower, upper) = get_objective(name)
+            direct1d.run_direct(objective, lower, upper, budget=10)
+        assert any(out.decision for out in results)
+        assert all(type(out.decision) is bool and type(out.l_lo) is float
+                   and type(out.l_hi) is float for out in results)
 
 
 class TestCachedPartition:
@@ -360,12 +463,18 @@ class TestRunDirect:
     @pytest.mark.parametrize("lower, upper, epsilon, message", [
         (1.0, 0.0, 1e-4, "interval needs a < b"),
         (0.0, 1.0, 0.0, "epsilon must lie in"),
-    ], ids=["reversed-region", "epsilon-zero"])
+        (0.0, math.inf, 1e-4, "interval needs finite endpoints and length"),
+        (-1e308, 1e308, 1e-4, "interval needs finite endpoints and length"),
+        (1e308, 1.5e308, 1e-4, "region midpoint overflows float64"),
+    ], ids=["reversed-region", "epsilon-zero", "infinite-upper", "length-overflows",
+            "midpoint-overflows"])
     def test_region_and_epsilon_checked_before_evaluating(self, lower, upper, epsilon,
                                                           message):
         calls = []
-        with pytest.raises(ValueError, match=message):
-            direct1d.run_direct(calls.append, lower, upper, epsilon, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                direct1d.run_direct(calls.append, lower, upper, epsilon, 2)
         assert calls == []
 
     def test_iterations_stop_at_budget_without_subdividing_the_last(self):

@@ -117,6 +117,19 @@ class TestOrder:
         assert as_numeral(2.0) < as_numeral(3.0)
         assert as_numeral(-1.0) < as_numeral(0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+    def test_non_finite_float_is_unequal(self, value):
+        for x in (G, ExtendedNumeral.from_real(1.0), ExtendedNumeral()):
+            assert not x == value and x != value and not value == x
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_ordering_against_non_finite_float_raises(self, value):
+        for order in (G.__lt__, G.__le__, G.__gt__, G.__ge__, G.compare):
+            with pytest.raises(ValueError, match="is not finite, so it is no extended numeral"):
+                order(value)
+        with pytest.raises(ValueError, match="is not finite"):
+            value < G
+
     @given(x=numerals, y=numerals, z=numerals)
     @settings(max_examples=100, deadline=None)
     def test_translation_preserves_order(self, x, y, z):
