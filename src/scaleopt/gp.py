@@ -8,8 +8,9 @@ estimators are affine equivariant: scaling the observed values by
 estimate to ``a**2 * sigma2``, which is what makes the acquisition
 criteria built on top of this module scale invariant.  What depends on the
 points alone (S's Cholesky factor, the grid correlations and variances) is
-kept in a run's ``GridCorrelations`` and grows by one row per observation,
-O(n**2 + n*m) on m grid points, instead of O(n**2 * m).
+kept in a ``GridCorrelations`` and grows by one row per observation,
+O(n**2 + n*m) on m grid points, instead of O(n**2 * m); it is recorded at
+each history length, so a second run on the same points replays it.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) ->
 
 
 class GridCorrelations:
-    """The point-only model state of one run on fixed (m, d) grid points.
+    """The point-only model state of the runs on fixed (m, d) grid points.
 
     For a growing history: the grid correlations Upsilon (n, m), the lower
     Cholesky factor L of S + jitter*I (``factor``), V = L^-1 Upsilon and q,
@@ -206,63 +207,114 @@ class GridCorrelations:
     S is factored in bulk instead for the first points and whenever a new
     point's d**2 falls below ``_PIVOT_FLOOR``.  This is the only code that
     factors S; a posterior without a run's state builds one over no grid
-    points.  Arrays handed out are never written again: later rows go beyond
-    them, and a bulk factor or a capacity beyond ``capacity`` gets new ones.
+    points.  ``rows`` records L, q and the jitter at each history length it
+    is called with, so a second run on the same points replays them.  While
+    V is current only the q's of its bulk factor and of the last length are
+    kept; the others are summed again from V's rows, as the appends summed
+    them.  Arrays handed out are never written again: later rows go beyond
+    them, and a bulk factor, a capacity beyond ``capacity`` or a rewind gets
+    new ones.
     """
 
     def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
         self.points, self.kernel = points, kernel
-        self._seen = points[:0]
-        self._ups, self._v = np.zeros((capacity, len(points))), np.zeros((capacity, len(points)))
-        self._lower = np.zeros((capacity, capacity))
-        self.q = np.zeros(len(points))
-        self.jitter = 0.0
+        self._restart(capacity)
 
-    @property
-    def factor(self) -> np.ndarray:
-        """L over the history seen so far; its upper triangle is zero."""
-        n = len(self._seen)
-        return self._lower[:n, :n]
+    def _restart(self, capacity: int):
+        """Empty buffers for ``capacity`` points, and no recorded state."""
+        m = len(self.points)
+        self._seen, self._states, self._kept_q = self.points[:0], {}, {}
+        self._ups, self._v = np.zeros((capacity, m)), np.zeros((capacity, m))
+        self._lower = np.zeros((capacity, capacity))
+        self._q, self._jitter = np.zeros(m), 0.0
+        self._bulk = self._summed = (0, self._q)  # (length, q) of V's bulk factor, last sum
 
     def rows(self, history: EvaluationHistory) -> np.ndarray:
-        """Bring the state up to ``history``; its Upsilon rows, (n, m).
+        """The state at ``history``: its Upsilon rows, (n, m), and L, q and the
+        jitter as ``factor``, ``q`` and ``jitter``.
 
-        A history that does not extend the points seen so far raises
-        ``ValueError`` and leaves the state as it was.
+        A history whose points are the first n seen, at a length called
+        before, gets the state recorded there.  One that extends the points
+        seen appends to them.  Any other is rewound first to the calls recorded
+        on the points it shares, so it gets what a state that had seen only
+        those calls would give.
         """
+        n = history.n
+        shared = _shared_prefix(history.points, self._seen)
+        if shared < n or n not in self._states:
+            if shared < len(self._seen):
+                self._rewind(shared)
+            self._advance(history)
+        _, self.factor, self.jitter = self._states[n]
+        self.q = self._q_at(n)
+        return self._ups[:n]
+
+    def _rewind(self, shared: int):
+        """Replay, in new buffers, the calls recorded on the first ``shared`` points."""
+        calls = [history for n, (history, *_) in self._states.items() if n <= shared]
+        self._restart(len(self._ups))
+        for history in calls:
+            self._advance(history)
+
+    def _advance(self, history: EvaluationHistory):
+        """Append ``history``'s new points to the state, and record it."""
         n, k = history.n, len(self._seen)
-        if not np.array_equal(history.points[:k], self._seen):
-            raise ValueError("history does not extend the points cached so far")
         if n > len(self._ups):  # doubling keeps the copying O(m) per row
             cap = max(n, 2 * len(self._ups))
             self._ups = _grown(self._ups[:k], (cap, len(self.points)))
             self._v = _grown(self._v[:k], (cap, len(self.points)))
-            self._lower = _grown(self.factor, (cap, cap))
+            self._lower = _grown(self._lower[:k, :k], (cap, cap))
         self._ups[k:n] = self.kernel.of_distance(
             _cross_distances(history.points[k:n], self.points))
-        if n > k and (k == 0 or not all(self._append(history.points, i) for i in range(k, n))):
+        if k == 0 or not all(self._append(history.points, i) for i in range(k, n)):
+            self._keep_qs()
             self._refactor(history)
+        elif k > self._bulk[0]:  # the last length's q can be summed again from V
+            del self._kept_q[k]
         self._seen = history.points.copy()
-        return self._ups[:n]
+        self._states[n] = (history, self._lower[:n, :n], self._jitter)
+        self._kept_q[n] = self._q
 
     def _append(self, points: np.ndarray, i: int) -> bool:
         """Append point i's row of L, V and q; False if its pivot is below the floor."""
         s = self.kernel.of_distance(_cross_distances(points[i:i + 1], points[:i]))[0]
         l = _solve_lower(self._lower[:i, :i], s)
-        pivot2 = 1.0 + self.jitter - l @ l
+        pivot2 = 1.0 + self._jitter - l @ l
         if not pivot2 >= _PIVOT_FLOOR:
             return False
         d = np.sqrt(pivot2)
         self._lower[i, :i], self._lower[i, i] = l, d
         self._v[i] = (self._ups[i] - l @ self._v[:i]) / d
-        self.q = self.q + self._v[i] ** 2
+        self._q = self._q + self._v[i] ** 2
         return True
 
     def _refactor(self, history: EvaluationHistory):
-        (factor, _), self.jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
+        (factor, _), self._jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
         lower = np.tril(factor)
-        v, self.q = _whitened(lower, self._ups[:history.n])
+        v, self._q = _whitened(lower, self._ups[:history.n])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
+        self._bulk = self._summed = (history.n, self._q)
+
+    def _q_at(self, n: int) -> np.ndarray:
+        """q at recorded length n, summed again from V's rows if it was not kept."""
+        q = self._kept_q.get(n)
+        if q is None:
+            start, q = self._summed if self._summed[0] <= n else self._bulk
+            for i in range(start, n):
+                q = q + self._v[i] ** 2
+            self._summed = (n, q)
+        return q
+
+    def _keep_qs(self):
+        """Keep every recorded q that V's rows would give, before V is replaced."""
+        self._kept_q = {n: self._q_at(n) for n in self._states}
+
+
+def _shared_prefix(a: np.ndarray, b: np.ndarray) -> int:
+    """How many leading rows of a and b are equal."""
+    k = min(len(a), len(b))
+    differ = np.flatnonzero((a[:k] != b[:k]).any(axis=1))
+    return int(differ[0]) if differ.size else k
 
 
 def _grown(array: np.ndarray, shape) -> np.ndarray:

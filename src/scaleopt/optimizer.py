@@ -4,9 +4,11 @@ The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
 ``grossone.scaled_criterion_run``.  It keeps its visited mask, O(m*d) to
-update per observation on m grid points, and the model's point-only state
+update per observation on m grid points.  The model's point-only state
 (``gp.GridCorrelations``: the grid correlations, the Cholesky factor and
-the grid variances), O(n**2 + n*m) to grow by one observation.
+the grid variances) grows by one observation at O(n**2 + n*m); the grid
+hands out one per kernel (``CandidateGrid.correlations``), so a second run
+on the same grid replays what the first computed on the points they share.
 
 Objective values are read by one rule, ``exact_value``, which keeps
 ``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
@@ -84,6 +86,7 @@ class CandidateGrid:
         points = np.stack([m.ravel() for m in mesh], axis=1)
         points.flags.writeable = False  # shared by every step and caller
         object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_correlations", {})
 
     @classmethod
     def for_region(cls, lower, upper, resolution: Optional[int] = None) -> "CandidateGrid":
@@ -95,6 +98,17 @@ class CandidateGrid:
     def points(self) -> np.ndarray:
         """The (m, d) candidates in lexicographic order, built once, read-only."""
         return self._points
+
+    def correlations(self, kernel: CorrelationKernel, capacity: int = 0) -> GridCorrelations:
+        """The model's point-only state on these candidates under ``kernel``.
+
+        There is one per kernel, made with room for ``capacity`` points on the
+        first call, and every run on this grid shares it: a run on points
+        another run has seen replays that run's state (``GridCorrelations.rows``).
+        """
+        if kernel not in self._correlations:
+            self._correlations[kernel] = GridCorrelations(self.points, kernel, capacity)
+        return self._correlations[kernel]
 
 
 @dataclass(frozen=True)
@@ -279,7 +293,9 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     before any two values differ, whose model has zero spread, takes the
     lowest unvisited index instead of the argmax; every step, that fallback too, makes one observation and one
     record.  Every setting is checked before anything is evaluated, the design
-    by ``EvaluationHistory``'s rules and the grid by its region rule.
+    by ``EvaluationHistory``'s rules, the grid by its region rule and the
+    budget against the candidates the design leaves unvisited.  The model's
+    point-only state comes from ``grid.correlations``.
     """
     if algorithm not in _CRITERION_OF:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -295,13 +311,17 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     grid = grid or CandidateGrid.for_region(lower, upper)
     points = grid.points
     check_inside(points, design.lower, design.upper)
+    visited = design.visited(points)  # history.visited(points), kept by observe
+    unvisited = np.count_nonzero(~visited)
+    if budget > unvisited:
+        raise ValueError(f"budget {budget} exceeds the {unvisited} grid candidates "
+                         f"that the initial design leaves unvisited")
     kind = _CRITERION_OF[algorithm]
 
     trace = OptimizationTrace(algorithm)
     normalize = AffineNormalization()
     best = math.inf
-    correlations = GridCorrelations(points, kernel, design.n + budget)
-    visited = np.zeros(len(points), dtype=bool)  # history.visited(points), kept by observe
+    correlations = grid.correlations(kernel, design.n + budget)
 
     def observe(point):
         nonlocal best

@@ -186,6 +186,12 @@ _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
     pytest.param(["run", "--budget=-3"], None, cli.EXIT_CONFIG, id="run-budget-negative"),
     pytest.param(["homogeneity", "--budget=-3"], None, cli.EXIT_CONFIG,
                  id="homogeneity-budget-negative"),
+    # a budget above the candidates the design leaves unvisited: the five
+    # design points visit every point of these grids
+    pytest.param(["run", "--grid-resolution", "3", "--budget", "5"], None, cli.EXIT_CONFIG,
+                 id="run-budget-beyond-grid"),
+    pytest.param(["homogeneity", "--grid-resolution", "5", "--budget", "3"], None,
+                 cli.EXIT_CONFIG, id="homogeneity-budget-beyond-grid"),
     # epsilon and the kernel rate must be finite too
     pytest.param(["run", "--epsilon", "inf"], None, cli.EXIT_CONFIG, id="run-epsilon-inf"),
     pytest.param(["homogeneity", "--epsilon", "inf"], None, cli.EXIT_CONFIG,

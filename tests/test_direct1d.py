@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import struct
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from scaleopt import direct1d
 from scaleopt.errors import ObjectiveEvaluationError, PreconditionError
 from scaleopt.harness import build_direct_counterexample, direct_homogeneity_check
 from scaleopt.objectives import get_objective
+from scaleopt.optimizer import exact_value
 
 
 def partition_from(deltas, values, epsilon):
@@ -411,6 +415,29 @@ def lifted_case(name, lift, factor):
     fn, (lo, hi) = get_objective(name)
     case = build_direct_counterexample(objective=lambda x: fn(x) + lift, lower=lo, upper=hi)
     return dataclasses.replace(case, shift=factor * case.shift)
+
+
+class TestEvaluate:
+    """DIRECT reads a value as ``exact_value`` reads it; a finite float skips the
+    exact round trip."""
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.1,
+        2 ** 53 + 1, -(2 ** 60) - 3, Fraction(1, 3), np.float64(-0.0), np.float64(0.1),
+        np.float32(0.1), np.float32(-0.0)],
+        ids=["minus-zero", "zero", "subnormal", "minus-subnormal", "max", "minus-max",
+             "float", "int-above-2**53", "minus-int", "fraction", "np.float64-minus-zero",
+             "np.float64", "np.float32", "np.float32-minus-zero"])
+    def test_same_float_as_exact_value(self, value):
+        read = direct1d._evaluate(lambda x: value, 0.5)
+        assert type(read) is float
+        assert struct.pack("<d", read) == struct.pack("<d", float(exact_value(value, 0.5)))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf),
+                                       10 ** 400], ids=["inf", "-inf", "nan", "np.inf", "huge-int"])
+    def test_non_finite_raises(self, value):
+        with pytest.raises(ObjectiveEvaluationError):
+            direct1d._evaluate(lambda x: value, 0.5)
 
 
 class TestRunDirect:

@@ -476,17 +476,67 @@ class TestGridCorrelations:
         cache.rows(h.with_observation([0.2], 1.5))
         assert len(calls) == 3
 
-    def test_history_that_does_not_extend_the_cache_is_rejected(self):
+    @staticmethod
+    def state_bytes(cache, history):
+        """Upsilon, L, q and the jitter that ``rows(history)`` gives, as bytes."""
+        ups = cache.rows(history)
+        return [ups.tobytes(), cache.factor.tobytes(), cache.q.tobytes(), cache.jitter]
+
+    def test_history_that_does_not_extend_the_seen_points_gets_a_fresh_state(self):
         rng = np.random.default_rng(13)
         grid = rng.uniform(0, 1, size=(50, 1))
         short, longer = self.histories(rng, 4, 1)[1:4:2]
         cache = GridCorrelations(grid, KERNEL)
-        before = cache.rows(longer).copy()
-        with pytest.raises(ValueError):
-            cache.rows(short)  # fewer points than cached
+        handed = [cache.rows(longer), cache.factor, cache.q]
+        before = [a.copy() for a in handed]
         moved = EvaluationHistory([0.0], [1.0], longer.points[::-1], longer.values)
-        with pytest.raises(ValueError):
-            cache.rows(moved)  # same count, another prefix
-        # a rejected history leaves the cache as it was
-        extended = cache.rows(longer.with_observation([0.999], 1.0))
-        assert extended.shape == (5, 50) and np.array_equal(extended[:4], before)
+        # fewer points than seen, the same count in another order, then the
+        # first history extended, which now leaves the points seen
+        for history in (short, moved, longer.with_observation([0.999], 1.0)):
+            fresh = GridCorrelations(grid, KERNEL)
+            assert self.state_bytes(cache, history) == self.state_bytes(fresh, history)
+        for a, b in zip(handed, before):  # arrays handed out are never written again
+            assert np.array_equal(a, b)
+
+    # Near-duplicates in a 1-D pool, on which the squared-exponential S needs
+    # bulk refactors and jitter.
+    POOL = [0.1, 0.1 + 1e-9, 0.1 + 2e-5, 0.5, 0.5 + 3e-9, 0.9, 0.3, 0.7, 0.31, 0.0, 1.0,
+            0.9 - 1e-8]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_state_gives_a_fresh_state_bits(self, data):
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        grid = np.linspace(0, 1, 41)[:, None]
+        indices = st.lists(st.integers(0, len(self.POOL) - 1), min_size=3,
+                           max_size=len(self.POOL), unique=True)
+        first = data.draw(indices, label="first")
+        split = data.draw(st.integers(0, len(first) - 1), label="split")
+        rest = [i for i in data.draw(st.permutations(range(len(self.POOL))), label="rest")
+                if i not in first[:split]]
+        second = first[:split] + rest[:data.draw(st.integers(1, len(rest)), label="more")]
+        start = data.draw(st.integers(1, 3), label="start")
+        steps = data.draw(st.lists(st.integers(1, 2), min_size=len(self.POOL)), label="steps")
+        lengths = [start + sum(steps[:k]) for k in range(len(self.POOL))]
+
+        def calls(run):
+            points = np.array([self.POOL[i] for i in run])
+            return [history_1d(points[:n], np.zeros(n)) for n in lengths if n <= len(run)]
+
+        shared = GridCorrelations(grid, kernel)
+        for run in (first, second, first):  # the third run rewinds back to the first's points
+            fresh = GridCorrelations(grid, kernel)
+            for history in calls(run):
+                assert self.state_bytes(shared, history) == self.state_bytes(fresh, history)
+
+    def test_recorded_state_is_replayed(self, monkeypatch):
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        points = np.array(self.POOL)
+        histories = [history_1d(points[:n], np.zeros(n)) for n in range(2, len(points) + 1)]
+        cache = GridCorrelations(np.linspace(0, 1, 41)[:, None], kernel)
+        first = [self.state_bytes(cache, history) for history in histories]
+        # the second pass over the same points factors nothing and solves nothing
+        monkeypatch.setattr(gp, "_factor_with_jitter", lambda *a: pytest.fail("factored"))
+        monkeypatch.setattr(gp, "_solve_lower", lambda *a: pytest.fail("solved"))
+        assert [self.state_bytes(cache, history) for history in histories] == first
+        assert any(state[3] > 0 for state in first)  # some states carry jitter

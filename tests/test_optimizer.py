@@ -118,6 +118,8 @@ BAD_SETTINGS = {
     "reversed-region": ({}, [1.0], [-1.0]),
     "grid-outside": (dict(grid=opt.CandidateGrid.for_region([0.0], [2.0], 11)),
                      [-1.0], [1.0]),
+    "budget-beyond-grid": (dict(budget=9, grid=opt.CandidateGrid.for_region([-1.0], [1.0], 11)),
+                           [-1.0], [1.0]),
 }
 
 
@@ -130,6 +132,23 @@ def test_bad_setting_raises_before_evaluating(name):
     with pytest.raises((ValueError, DuplicatePointsError)):
         opt.run(algorithm, lambda x: calls.append(x) or sin3x2(x), lower, upper, **options)
     assert calls == []
+
+
+def test_budget_may_take_every_unvisited_candidate():
+    # the default design visits -1, 0 and 1 of the 11 candidates, leaving 8
+    grid = opt.CandidateGrid.for_region([-1.0], [1.0], 11)
+    with pytest.raises(ValueError, match="budget 9 exceeds the 8 grid candidates"):
+        opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=9, grid=grid)
+    trace = opt.run(opt.P_ALGORITHM, sin3x2, [-1.0], [1.0], budget=8, grid=grid)
+    assert sorted(trace.grid_indices) == [1, 2, 3, 4, 6, 7, 8, 9]
+
+
+def test_grid_hands_out_one_model_state_per_kernel():
+    grid = opt.CandidateGrid.for_region([0.0], [1.0], 11)
+    exponential, squared = CorrelationKernel(), CorrelationKernel("squared-exponential")
+    assert grid.correlations(exponential) is grid.correlations(CorrelationKernel())
+    assert grid.correlations(squared) is not grid.correlations(exponential)
+    assert grid.correlations(squared).points is grid.points
 
 
 def test_entry_points_take_the_default_budget():
