@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import gp, harness, objectives, optimizer
@@ -94,8 +95,11 @@ def _build_kwargs(args):
 
 
 def _write(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -193,16 +197,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args, argv)
+        directory = os.path.dirname(getattr(args, "output", None) or "")
+        if directory and not os.path.isdir(directory):  # rejected before any evaluation
+            raise ConfigError(f"output directory {directory} does not exist")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScaleoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ class GridCorrelations:
     """The point-only model state of the runs on fixed (m, d) grid points.
 
     For a growing history: the grid correlations Upsilon (n, m), the lower
-    Cholesky factor L of S + jitter*I (``factor``), V = L^-1 Upsilon and q,
+    Cholesky factor L of S + jitter*I, V = L^-1 Upsilon and q,
     the column sums of V**2.  A new point with correlations s to the earlier
     ones appends one row of each, at O(n**2 + n*m):
 
@@ -229,9 +229,8 @@ class GridCorrelations:
         self._q, self._jitter = np.zeros(m), 0.0
         self._bulk = self._summed = (0, self._q)  # (length, q) of V's bulk factor, last sum
 
-    def rows(self, history: EvaluationHistory) -> np.ndarray:
-        """The state at ``history``: its Upsilon rows, (n, m), and L, q and the
-        jitter as ``factor``, ``q`` and ``jitter``.
+    def rows(self, history: EvaluationHistory):
+        """The state at ``history``: (Upsilon's rows (n, m), L, q, jitter).
 
         A history whose points are the first n seen, at a length called
         before, gets the state recorded there.  One that extends the points
@@ -245,9 +244,8 @@ class GridCorrelations:
             if shared < len(self._seen):
                 self._rewind(shared)
             self._advance(history)
-        _, self.factor, self.jitter = self._states[n]
-        self.q = self._q_at(n)
-        return self._ups[:n]
+        _, lower, jitter = self._states[n]
+        return self._ups[:n], lower, self._q_at(n), jitter
 
     def _rewind(self, shared: int):
         """Replay, in new buffers, the calls recorded on the first ``shared`` points."""
@@ -289,8 +287,7 @@ class GridCorrelations:
         return True
 
     def _refactor(self, history: EvaluationHistory):
-        (factor, _), self._jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
-        lower = np.tril(factor)
+        lower, self._jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
         v, self._q = _whitened(lower, self._ups[:history.n])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
         self._bulk = self._summed = (history.n, self._q)
@@ -341,21 +338,20 @@ def _solved(result):
     return x
 
 
-def cho_factor(a: np.ndarray, lower: bool = True):
-    """SciPy's ``cho_factor``: (c, lower), c holding the factor in that triangle
-    and a's entries in the other.  ``LinAlgError`` if a is not positive definite."""
-    return _solved(dpotrf(a, lower=lower, clean=0)), lower
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of a, zeros above its diagonal, as SciPy's
+    ``cho_factor`` computes it.  ``LinAlgError`` if a is not positive definite."""
+    return _solved(dpotrf(a, lower=1, clean=1))
 
 
-def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
-    """SciPy's ``cho_solve``: x with A x = b, from ``cho_factor``'s (c, lower)."""
-    c, lower = c_and_lower
-    return _solved(dpotrs(c, np.asarray_chkfinite(b), lower=lower))
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SciPy's ``cho_solve``: x with A x = b, from ``cho_factor``'s L of A."""
+    return _solved(dpotrs(factor, np.asarray_chkfinite(b), lower=1))
 
 
 def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for a lower-triangular L that is C-ordered or a strided view,
-    solved as (L')' x = b, which is SciPy's ``solve_triangular`` call for it."""
+    """L^-1 b for a lower-triangular L, solved as (L')' x = b, which is SciPy's
+    ``solve_triangular`` call for a C-ordered L or a strided view of one."""
     return _solved(dtrtrs(lower.T, b, lower=0, trans=1))
 
 
@@ -372,8 +368,7 @@ def _factor_with_jitter(sigma: np.ndarray):
     jitter = 0.0
     while True:
         try:
-            factor = cho_factor(sigma + jitter * np.eye(sigma.shape[0]), lower=True)
-            return factor, jitter
+            return cho_factor(sigma + jitter * np.eye(sigma.shape[0])), jitter
         except LinAlgError:
             jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_MAX:
@@ -410,8 +405,8 @@ class SurrogatePosterior:
         state = grid_correlations or GridCorrelations(history.points[:0], kernel)
         if state.kernel != kernel:
             raise ValueError("grid correlations were built under another kernel")
-        self._grid, self._grid_ups = state.points, state.rows(history)
-        self._factor, self.jitter, self._grid_q = (state.factor, True), state.jitter, state.q
+        self._grid = state.points
+        self._grid_ups, self._factor, self._grid_q, self.jitter = state.rows(history)
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)
@@ -442,7 +437,7 @@ class SurrogatePosterior:
         else:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
-            _, q = _whitened(self._factor[0], ups)
+            _, q = _whitened(self._factor, ups)
         means = self.parameters.mu + self._resid_weights @ ups
         raw = 1.0 - q
         sigma2 = self.parameters.sigma2

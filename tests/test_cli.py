@@ -365,6 +365,29 @@ def test_unread_flag_exits_2_before_evaluating(algorithm, flag, value, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--output", "{missing}/dir/t"],
+    ["example-fig1", "--output", "{missing}/f.csv"],
+    ["homogeneity", "--algorithm", "direct", "--output", "{missing}/x"],
+], ids=["run", "example-fig1", "direct"])
+def test_output_in_missing_directory_exits_2_before_evaluating(args, tmp_path, monkeypatch,
+                                                               calls, capsys):
+    monkeypatch.setattr(harness, "fig1_reproduction", lambda **kwargs: calls.append(kwargs))
+    missing = tmp_path / "missing"
+    assert run_cli([arg.format(missing=missing) for arg in args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory") and err.count("\n") == 1
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "t.csv").mkdir()
+    assert run_cli(["run", "--budget", "2", "--output", str(tmp_path / "t")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     # DIRECT's epsilon and budget live in the builder's signature alone: the
     # parser holds None for both, and homogeneity passes on only the values given

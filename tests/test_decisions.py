@@ -68,11 +68,22 @@ def classify(kind, estimator, grid, posterior, asp, visited, sel) -> str:
     return "wrong"
 
 
-@pytest.mark.parametrize("family, objective", [("exponential", "rastrigin1d"),
-                                               ("squared-exponential", "sin3x2")])
-def test_every_p_step_agrees_ties_or_is_float_decided(family, objective, monkeypatch):
+# (kernel family, objective, estimator, steps that must be float-decided).
+# Steps 18-22 of the squared-exponential sample run on gramacy-lee are
+# float-decided; step 21 is the one that moves under 1e-14 changes of its data.
+P_RUNS = [("exponential", "rastrigin1d", "mle", ()),
+          ("squared-exponential", "sin3x2", "mle", ()),
+          ("squared-exponential", "gramacy-lee", "sample", (21,))]
+
+
+@pytest.mark.parametrize("family, objective, estimator, float_decided", P_RUNS, ids=[
+    "exponential-rastrigin1d", "squared-exponential-sin3x2",
+    "squared-exponential-gramacy-lee-sample"])
+def test_every_p_step_agrees_ties_or_is_float_decided(family, objective, estimator,
+                                                      float_decided, monkeypatch):
     kernel = gp.CorrelationKernel(family, 5.0)
-    grid, steps = recorded_steps(monkeypatch, opt.P_ALGORITHM, kernel, "mle", objective)
+    grid, steps = recorded_steps(monkeypatch, opt.P_ALGORITHM, kernel, estimator, objective)
     assert len(steps) == BUDGET
-    outcomes = [classify(acq.P_CRITERION, "mle", grid, *step) for step in steps]
+    outcomes = [classify(acq.P_CRITERION, estimator, grid, *step) for step in steps]
     assert "wrong" not in outcomes, outcomes
+    assert all(outcomes[step - 1] == "float-decided" for step in float_decided), outcomes

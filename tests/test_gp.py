@@ -185,9 +185,9 @@ class TestMleEstimator:
 
 
 class TestLapackCalls:
-    """gp's Cholesky factor and its solves are SciPy's, to the bit, on the
-    arrays gp passes: a C-ordered matrix, the strided leading block of a
-    larger C-ordered factor, and np.tril of a factor."""
+    """gp's Cholesky factor is np.tril of SciPy's, and its solves are SciPy's,
+    to the bit, on the arrays gp passes: potrf's factor, a C-ordered matrix
+    and the strided leading block of a larger C-ordered factor."""
 
     @staticmethod
     def matrices():
@@ -211,17 +211,17 @@ class TestLapackCalls:
                 want = cho_factor(a, lower=True)
             except LinAlgError:
                 with pytest.raises(LinAlgError):
-                    gp.cho_factor(a, lower=True)
+                    gp.cho_factor(a)
                 failed += 1
                 continue
-            got = gp.cho_factor(a, lower=True)
-            assert np.array_equal(got[0], want[0]) and got[1] is True
-            lower = np.tril(got[0])
+            got = gp.cho_factor(a)
+            lower = np.tril(want[0])
+            assert np.array_equal(got, lower)
             block = np.zeros((n + 3, n + 3))
             block[:n, :n] = lower
             for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
-                for c in (got[0], lower, block[:n, :n]):
-                    assert np.array_equal(gp.cho_solve((c, True), b), cho_solve((c, True), b))
+                for c in (got, lower, block[:n, :n]):
+                    assert np.array_equal(gp.cho_solve(c, b), cho_solve(want, b))
                 assert np.array_equal(gp._solve_lower(lower, b),
                                       solve_triangular(lower, b, lower=True))
             for i in range(1, n + 1):  # the appended rows' views, 1 x 1 included
@@ -370,7 +370,7 @@ class TestGridCorrelations:
             if step % 3 == 2:
                 continue  # some steps add no row, the next adds two
             full = kernel.of_distance(gp._cross_distances(history.points, grid))
-            assert np.array_equal(cache.rows(history), full)
+            assert np.array_equal(cache.rows(history)[0], full)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
@@ -429,13 +429,12 @@ class TestGridCorrelations:
         grid = rng.uniform(0, 1, size=(200, 2))
         cache = GridCorrelations(grid, kernel)
         for history in self.histories(rng, 15, 2):
-            ups = cache.rows(history)
-            lower = cache.factor
-            target = correlation_matrix(history, kernel) + cache.jitter * np.eye(history.n)
+            ups, lower, q, jitter = cache.rows(history)
+            target = correlation_matrix(history, kernel) + jitter * np.eye(history.n)
             np.testing.assert_allclose(lower @ lower.T, target, rtol=0, atol=1e-14)
             assert np.array_equal(lower, np.tril(lower))
             v = solve_triangular(lower, ups, lower=True)
-            np.testing.assert_allclose(cache.q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     def test_two_rows_at_once_equal_one_at_a_time(self, kernel):
@@ -449,16 +448,16 @@ class TestGridCorrelations:
             one.rows(history)
         for history in histories[6::2]:
             two.rows(history)
-        for a, b in ((one.rows(histories[-1]), two.rows(histories[-1])),
-                     (one.factor, two.factor), (one.q, two.q)):
+        *arrays, jitter = one.rows(histories[-1])
+        *expected, expected_jitter = two.rows(histories[-1])
+        for a, b in zip(arrays, expected):  # Upsilon, L and q
             assert np.array_equal(a, b)
-        assert one.jitter == two.jitter
+        assert jitter == expected_jitter
 
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
         # only the new point's own pivot decides between an append and a bulk factor
-        calls = []
-        monkeypatch.setattr(gp, "cho_factor",
-                            lambda *args, **kw: calls.append(args) or cho_factor(*args, **kw))
+        calls, factor = [], gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor", lambda a: calls.append(a) or factor(a))
         kernel = CorrelationKernel("squared-exponential", 5.0)
         cache = GridCorrelations(np.linspace(0, 1, 101)[:, None], kernel)
         h = history_1d(np.array([0.1, 0.5]), [1.0, 2.0])
@@ -470,24 +469,25 @@ class TestGridCorrelations:
         h = h.with_observation([0.5 + 1e-5], 3.0)
         cache.rows(h)
         assert len(calls) == 2
-        (bulk, _), _ = gp._factor_with_jitter(correlation_matrix(h, kernel))
-        assert np.array_equal(cache.factor, np.tril(bulk))
+        _, lower, _, jitter = cache.rows(h)
+        sigma = correlation_matrix(h, kernel) + jitter * np.eye(h.n)
+        assert np.array_equal(lower, np.tril(cho_factor(sigma, lower=True)[0]))
         # a far point appends again, onto the factor that holds that small pivot
         cache.rows(h.with_observation([0.2], 1.5))
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @staticmethod
     def state_bytes(cache, history):
         """Upsilon, L, q and the jitter that ``rows(history)`` gives, as bytes."""
-        ups = cache.rows(history)
-        return [ups.tobytes(), cache.factor.tobytes(), cache.q.tobytes(), cache.jitter]
+        ups, lower, q, jitter = cache.rows(history)
+        return [ups.tobytes(), lower.tobytes(), q.tobytes(), jitter]
 
     def test_history_that_does_not_extend_the_seen_points_gets_a_fresh_state(self):
         rng = np.random.default_rng(13)
         grid = rng.uniform(0, 1, size=(50, 1))
         short, longer = self.histories(rng, 4, 1)[1:4:2]
         cache = GridCorrelations(grid, KERNEL)
-        handed = [cache.rows(longer), cache.factor, cache.q]
+        handed = cache.rows(longer)[:3]
         before = [a.copy() for a in handed]
         moved = EvaluationHistory([0.0], [1.0], longer.points[::-1], longer.values)
         # fewer points than seen, the same count in another order, then the

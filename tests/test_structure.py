@@ -4,13 +4,18 @@ each rule's constant is used only in its home module.
 A leading underscore marks a name as internal to its module or object, so
 ``from .mod import _name`` and ``obj._attr`` (with ``obj`` other than
 ``self`` or ``cls``) couple one module to another's internals.  Dunder
-names such as ``__setattr__`` are protocol, not private.
+names such as ``__setattr__`` are protocol, not private.  The package
+module itself binds only its version and submodules, so each object has one
+import path.
 
 The benchmark's tracer patches package names from outside the package, so
 a test also checks that it still finds each of them.
 """
 
 import ast
+import importlib
+import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +202,18 @@ def test_length_classes_read_in_one_place():
 
 def test_one_csv_writer():
     assert sites_in_package({"writer"}) == {("writer", "optimizer.csv_text")}
+
+
+def test_package_binds_only_its_version_and_submodules():
+    # Each object has one import path, through the module that defines it.
+    import scaleopt
+
+    for module in pkgutil.iter_modules(scaleopt.__path__):
+        importlib.import_module(f"scaleopt.{module.name}")
+    bound = {name: value for name, value in vars(scaleopt).items()
+             if not name.startswith("__")}
+    assert bound and {name: sys.modules.get(f"scaleopt.{name}") for name in bound} == bound
+    assert isinstance(scaleopt.__version__, str)
 
 
 def test_bench_tracer_installs_and_uninstalls(monkeypatch):
