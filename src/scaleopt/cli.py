@@ -94,6 +94,11 @@ def _build_kwargs(args):
         budget=args.budget, estimator=args.estimator, epsilon=args.epsilon))
 
 
+def _outputs(args) -> list:
+    """The files the command writes: its ``--output`` with each suffix it writes."""
+    return [] if args.output is None else [args.output + suffix for suffix in args.writes]
+
+
 def _write(path, text):
     try:
         with open(path, "w", newline="") as fh:
@@ -106,11 +111,12 @@ def cmd_run(args) -> int:
     algorithm = ALGORITHMS[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
     trace = optimizer.run(algorithm, objective, [lower], [upper], **kwargs)
-    _write(args.output + ".csv", trace.to_csv())
-    _write(args.output + ".json", trace.to_json())
+    csv_path, json_path = _outputs(args)
+    _write(csv_path, trace.to_csv())
+    _write(json_path, trace.to_json())
     best = trace.best_point
     print(f"best point: {best.tolist()}  best value: {trace.best_value!r}")
-    print(f"trace written to {args.output}.csv / {args.output}.json")
+    print(f"trace written to {csv_path} / {json_path}")
     return EXIT_OK
 
 
@@ -142,10 +148,10 @@ def _direct_check(args) -> int:
           if mismatch is not None else "no subdivision mismatch observed")
     print(f"base iterations:\n{base.to_csv()}\nshifted iterations:\n{shifted.to_csv()}")
     if args.output is not None:
-        _write(args.output + "_partition.json", base.partition.to_json())
-        _write(args.output + "_trace.csv", base.to_csv())
-        print(f"partition/trace written to {args.output}_partition.json / "
-              f"{args.output}_trace.csv")
+        partition_path, trace_path = _outputs(args)
+        _write(partition_path, base.partition.to_json())
+        _write(trace_path, base.to_csv())
+        print(f"partition/trace written to {partition_path} / {trace_path}")
     return EXIT_OK if mismatch is None else EXIT_MISMATCH
 
 
@@ -153,12 +159,13 @@ def cmd_example_fig1(args) -> int:
     data = harness.fig1_reproduction(**_given(
         estimator=args.estimator, epsilon=args.epsilon, resolution=args.grid_resolution))
     cols = ["x", "m_f", "s_f", "crit_f", "m_phi", "s_phi", "crit_phi"]
-    _write(args.output, optimizer.csv_text([cols] + [
+    (path,) = _outputs(args)
+    _write(path, optimizer.csv_text([cols] + [
         [float(v) for v in row] for row in zip(*(data[c] for c in cols))]))
     print(f"printed-phi max deviation from a*f+b: {data['printed_phi_deviation']!r}")
     print(f"aspiration levels: y_on={data['y_on_f']!r} z_on={data['y_on_phi']!r}")
     print(f"criterion argmax: f -> {data['argmax_f']}, phi -> {data['argmax_phi']}")
-    print(f"plot data written to {args.output}")
+    print(f"plot data written to {path}")
     return EXIT_OK
 
 
@@ -170,7 +177,7 @@ def make_parser():
     p_run.add_argument("--algorithm", default="p", choices=list(ALGORITHMS))
     _add_common_run_flags(p_run)
     p_run.add_argument("--output", default="trace")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, writes=(".csv", ".json"))
 
     p_hom = sub.add_parser("homogeneity", help="affine-scaling comparison")
     p_hom.add_argument("--algorithm", default="p", choices=[*ALGORITHMS, "direct"])
@@ -178,14 +185,14 @@ def make_parser():
     p_hom.add_argument("--a", help="scale factor; float or numeral like 3*G^2")
     p_hom.add_argument("--b", help="offset; float or numeral like G^-1")
     p_hom.add_argument("--output", help="direct only: prefix of the files to write")
-    p_hom.set_defaults(func=cmd_homogeneity)
+    p_hom.set_defaults(func=cmd_homogeneity, writes=("_partition.json", "_trace.csv"))
 
     p_fig = sub.add_parser("example-fig1", help="five-point example data")
     p_fig.add_argument("--estimator", choices=gp.ESTIMATORS)
     p_fig.add_argument("--epsilon", type=float)
     p_fig.add_argument("--grid-resolution", type=int)
     p_fig.add_argument("--output", default="fig1.csv")
-    p_fig.set_defaults(func=cmd_example_fig1)
+    p_fig.set_defaults(func=cmd_example_fig1, writes=("",))
 
     return parser
 
@@ -197,9 +204,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args, argv)
-        directory = os.path.dirname(getattr(args, "output", None) or "")
-        if directory and not os.path.isdir(directory):  # rejected before any evaluation
-            raise ConfigError(f"output directory {directory} does not exist")
+        for path in _outputs(args):  # rejected before any evaluation
+            directory = os.path.dirname(path)
+            if directory and not os.path.isdir(directory):
+                raise ConfigError(f"output directory {directory} does not exist")
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write {path}: it is a directory")
         return args.func(args)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ criteria built on top of this module scale invariant.  What depends on the
 points alone (S's Cholesky factor, the grid correlations and variances) is
 kept in a ``GridCorrelations`` and grows by one row per observation,
 O(n**2 + n*m) on m grid points, instead of O(n**2 * m); it is recorded at
-each history length, so a second run on the same points replays it.
+each history length, so a later run on the same points replays it, with a
+fresh state's bits when both start from one length (``CandidateGrid.correlations``).
 """
 
 from __future__ import annotations
@@ -208,7 +209,9 @@ class GridCorrelations:
     point's d**2 falls below ``_PIVOT_FLOOR``.  This is the only code that
     factors S; a posterior without a run's state builds one over no grid
     points.  ``rows`` records L, q and the jitter at each history length it
-    is called with, so a second run on the same points replays them.  While
+    is called with, so a second run on the same points replays them.  The bits
+    depend on the lengths asked for (7 points factored in bulk are not 5 with
+    2 appended), so only runs from one design size share a state.  While
     V is current only the q's of its bulk factor and of the last length are
     kept; the others are summed again from V's rows, as the appends summed
     them.  Arrays handed out are never written again: later rows go beyond

@@ -85,14 +85,14 @@ def homogeneity_check(algorithm: str, objective: Callable, lower, upper, a=1, b=
     the scaled run is ``grossone.scaled_criterion_run`` for every scaling,
     finite, infinite or infinitesimal, so the scaled values are never
     rounded and the scaled trace is in the normalized frame.  Both take
-    ``options``, with ``optimizer.grid_run``'s defaults, and one grid, so
-    the scaled run replays the base run's point-only model state while its
-    points are the base run's.  The comparison reads only grid indices.
+    ``options``, with ``optimizer.grid_run``'s defaults, and so one grid:
+    the default one is interned (``CandidateGrid.for_region``), so the scaled
+    run replays the base run's point-only model state while its points are
+    the base run's, and a later check on the region replays it again.  The
+    comparison reads only grid indices.
     """
     a_num = grossone.positive_scale(a)
     b_num = grossone.as_numeral(b)
-    if options.get("grid") is None:
-        options["grid"] = optimizer.CandidateGrid.for_region(lower, upper)
     base = optimizer.run(algorithm, objective, lower, upper, **options)
     scaled, _ = grossone.scaled_criterion_run(objective, a_num, b_num, lower, upper,
                                               algorithm=algorithm, **options)

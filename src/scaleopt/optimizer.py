@@ -7,8 +7,9 @@ be compared point by point.  One loop, ``grid_run``, serves ``run`` and
 update per observation on m grid points.  The model's point-only state
 (``gp.GridCorrelations``: the grid correlations, the Cholesky factor and
 the grid variances) grows by one observation at O(n**2 + n*m); the grid
-hands out one per kernel (``CandidateGrid.correlations``), so a second run
-on the same grid replays what the first computed on the points they share.
+hands out one per kernel and design size (``CandidateGrid.correlations``),
+and ``CandidateGrid.for_region`` interns its last grid, so a run on points
+another run has seen replays what that run computed, bit for bit.
 
 Objective values are read by one rule, ``exact_value``, which keeps
 ``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
@@ -26,6 +27,7 @@ improvement-probability criterion is scale free.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -90,25 +92,37 @@ class CandidateGrid:
 
     @classmethod
     def for_region(cls, lower, upper, resolution: Optional[int] = None) -> "CandidateGrid":
+        """The grid over a region; the last one built is returned for the same bits."""
         if resolution is None:
             resolution = 1001 if np.size(lower) == 1 else 101
-        return cls(lower, upper, resolution)
+        bits = (np.atleast_1d(np.asarray(b, dtype=float)).tobytes() for b in (lower, upper))
+        return _last_grid(cls, *bits, resolution)
 
     @property
     def points(self) -> np.ndarray:
         """The (m, d) candidates in lexicographic order, built once, read-only."""
         return self._points
 
-    def correlations(self, kernel: CorrelationKernel, capacity: int = 0) -> GridCorrelations:
+    def correlations(self, kernel: CorrelationKernel, design_size: int = 0,
+                     capacity: int = 0) -> GridCorrelations:
         """The model's point-only state on these candidates under ``kernel``.
 
-        There is one per kernel, made with room for ``capacity`` points on the
-        first call, and every run on this grid shares it: a run on points
-        another run has seen replays that run's state (``GridCorrelations.rows``).
+        There is one per kernel and initial-design size, made with room for
+        ``capacity`` points on the first call, and the runs on this grid with
+        both share it: a run on points another has seen replays that run's
+        state (``GridCorrelations.rows``), with a fresh state's bits, as both
+        ask for it at consecutive lengths from the design size.
         """
-        if kernel not in self._correlations:
-            self._correlations[kernel] = GridCorrelations(self.points, kernel, capacity)
-        return self._correlations[kernel]
+        key = (kernel, design_size)
+        if key not in self._correlations:
+            self._correlations[key] = GridCorrelations(self.points, kernel, capacity)
+        return self._correlations[key]
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _last_grid(cls, lower: bytes, upper: bytes, resolution) -> CandidateGrid:
+    """``for_region``'s memo of one grid (``-0.0`` is not ``0.0``); not for use across threads."""
+    return cls(np.frombuffer(lower), np.frombuffer(upper), resolution)
 
 
 @dataclass(frozen=True)
@@ -321,7 +335,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     trace = OptimizationTrace(algorithm)
     normalize = AffineNormalization()
     best = math.inf
-    correlations = grid.correlations(kernel, design.n + budget)
+    correlations = grid.correlations(kernel, design.n, design.n + budget)
 
     def observe(point):
         nonlocal best

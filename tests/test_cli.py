@@ -388,6 +388,26 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, directory", [
+    (["run", "--budget", "2", "--output", "u"], "u.csv"),
+    (["run", "--budget", "2", "--output", "u"], "u.json"),
+    (["example-fig1", "--output", "f.csv"], "f.csv"),
+    (["homogeneity", "--algorithm", "direct", "--output", "x"], "x_partition.json"),
+    (["homogeneity", "--algorithm", "direct", "--output", "x"], "x_trace.csv"),
+], ids=["run-csv", "run-json", "example-fig1", "direct-partition", "direct-trace"])
+def test_output_that_is_a_directory_exits_2_before_evaluating(args, directory, tmp_path,
+                                                              monkeypatch, calls, capsys):
+    # every file a command writes is checked, so none is left half written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(optimizer, "run", lambda *a, **kw: pytest.fail("optimizer.run called"))
+    monkeypatch.setattr(harness, "fig1_reproduction", lambda **kw: pytest.fail("evaluated"))
+    (tmp_path / directory).mkdir()
+    assert run_cli(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {directory}: it is a directory\n"
+    assert calls == []
+    assert [path.name for path in tmp_path.iterdir()] == [directory]
+
+
 def test_direct_defaults_have_one_home(monkeypatch, tmp_path, capsys):
     # DIRECT's epsilon and budget live in the builder's signature alone: the
     # parser holds None for both, and homogeneity passes on only the values given

@@ -47,10 +47,14 @@ class TestSharedGrid:
     SCALED_RUN = staticmethod(grossone.scaled_criterion_run)
 
     @classmethod
+    def fresh_grid(cls):
+        """A grid of the check's region that no other run shares."""
+        return opt.CandidateGrid(*cls.REGION, 1001)
+
+    @classmethod
     def fresh_scaled_run(cls, objective, a, b, algorithm, **options):
-        grid = opt.CandidateGrid.for_region(*cls.REGION)
         return cls.SCALED_RUN(objective, a, b, *cls.REGION, algorithm=algorithm,
-                              grid=grid, **options)[0]
+                              grid=cls.fresh_grid(), **options)[0]
 
     @classmethod
     def captured_scaled_traces(cls, monkeypatch):
@@ -84,8 +88,7 @@ class TestSharedGrid:
             return f
 
         f = objective()
-        base = opt.run(opt.P_ALGORITHM, f, *self.REGION,
-                       grid=opt.CandidateGrid.for_region(*self.REGION), **options)
+        base = opt.run(opt.P_ALGORITHM, f, *self.REGION, grid=self.fresh_grid(), **options)
         scaled = self.fresh_scaled_run(f, 2.0, 1.0, opt.P_ALGORITHM, **options)
         expected = compare_traces(base, scaled, opt.P_ALGORITHM, 2.0, 1.0)
         assert expected.first_mismatch is not None
@@ -110,3 +113,20 @@ class TestSharedGrid:
                                    budget=15, kernel=CorrelationKernel("squared-exponential"))
         assert report.passed and phase == ["scaled"]
         assert calls and set(calls) == {"base"}
+
+    def test_a_second_check_on_the_region_replays_the_first(self, monkeypatch):
+        # for_region interns the grid, so the second check's base run replays
+        # the first's state too: neither of its runs factors or solves
+        options = dict(budget=12, kernel=CorrelationKernel("squared-exponential", 5.0))
+        traces = self.captured_scaled_traces(monkeypatch)
+        homogeneity_check(opt.P_ALGORITHM, sin3x2, *self.REGION, 2.0, 1.0, **options)
+        with monkeypatch.context() as patched:
+            patched.setattr(gp, "_factor_with_jitter", lambda *a: pytest.fail("factored"))
+            patched.setattr(gp, "_solve_lower", lambda *a: pytest.fail("solved"))
+            replayed = homogeneity_check(opt.P_ALGORITHM, sin3x2, *self.REGION, 3.9765, -7.3,
+                                         **options)
+        opt._last_grid.cache_clear()
+        fresh = homogeneity_check(opt.P_ALGORITHM, sin3x2, *self.REGION, 3.9765, -7.3,
+                                  **options)
+        assert replayed.passed and replayed.steps == fresh.steps
+        assert traces[1][0].to_csv() == traces[2][0].to_csv()

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,26 @@ class TestCandidateGrid:
     def test_default_resolutions(self):
         assert opt.CandidateGrid.for_region([0.0], [1.0]).resolution == 1001
         assert opt.CandidateGrid.for_region([0, 0], [1, 1]).resolution == 101
+
+    def test_for_region_returns_the_grid_built_last_for_the_same_bits(self):
+        grid = opt.CandidateGrid.for_region([0.0], [1.0])
+        assert opt.CandidateGrid.for_region(np.array([0.0]), [1]) is grid
+        assert opt.CandidateGrid.for_region(0.0, 1.0, 1001) is grid
+        with pytest.raises(TypeError):  # as a fresh grid would raise
+            opt.CandidateGrid.for_region([0.0], [1.0], 1001.0)
+        negative = opt.CandidateGrid.for_region([-0.0], [1.0])
+        assert negative is not grid and np.signbit(negative.lower[0])
+        coarse = opt.CandidateGrid.for_region([-0.0], [1.0], 11)
+        assert coarse is not negative and coarse.resolution == 11
+
+    def test_for_region_keeps_one_grid(self):
+        grid = opt.CandidateGrid.for_region([0.0], [1.0], 11)
+        grid.correlations(KERNEL, 5, 8)
+        kept = weakref.ref(grid)
+        del grid
+        assert kept() is opt.CandidateGrid.for_region([0.0], [1.0], 11)
+        opt.CandidateGrid.for_region([0.0], [2.0], 11)
+        assert kept() is None
 
     def test_2d_lexicographic(self):
         grid = opt.CandidateGrid(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 3)
@@ -149,6 +170,26 @@ def test_grid_hands_out_one_model_state_per_kernel():
     assert grid.correlations(exponential) is grid.correlations(CorrelationKernel())
     assert grid.correlations(squared) is not grid.correlations(exponential)
     assert grid.correlations(squared).points is grid.points
+    # and one per initial-design size
+    assert grid.correlations(exponential, 5) is grid.correlations(CorrelationKernel(), 5, 30)
+    assert grid.correlations(exponential, 7) is not grid.correlations(exponential, 5)
+
+
+@pytest.mark.parametrize("name", ["sin3x2", "gramacy-lee"])
+def test_run_from_a_longer_design_on_a_shared_grid_is_a_fresh_run(name):
+    # A state shared by every design size gave the 7-point run the 5-point
+    # run's factor appended twice, not its own bulk factor of 7 points: the
+    # criterion moved in its last digits (sin3x2 at step 1, gramacy-lee at 3).
+    objective, (lo, hi) = get_objective(name)
+    options = dict(budget=10, kernel=CorrelationKernel("squared-exponential", 5.0))
+    grid = opt.CandidateGrid.for_region([lo], [hi])
+    first = opt.run(opt.P_ALGORITHM, objective, [lo], [hi], grid=grid, **options)
+    design = np.array([r.point for r in first.records[:7]])
+    shared = opt.run(opt.P_ALGORITHM, objective, [lo], [hi], initial_design=design,
+                     grid=grid, **options)
+    fresh = opt.run(opt.P_ALGORITHM, objective, [lo], [hi], initial_design=design,
+                    grid=opt.CandidateGrid([lo], [hi], grid.resolution), **options)
+    assert shared.to_csv() == fresh.to_csv()
 
 
 def test_entry_points_take_the_default_budget():

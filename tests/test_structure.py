@@ -145,17 +145,21 @@ FACTOR_PATH = {("cho_factor", "gp._factor_with_jitter"),
 FACTOR_NAMES = {name for name, _ in FACTOR_PATH}
 
 
-def use_sites(source: str, module: str, names) -> set:
-    """(name, enclosing module.class.function) for each read of ``names``.
+def use_sites(source: str, module: str, names, called: bool = False) -> set:
+    """(name, enclosing module.class.function) for each read of ``names``,
+    or with ``called`` for each call of one, ``name(...)`` or ``obj.name(...)``.
 
     Assigning a name, as its definition does, is not a use.
     """
+    tree = ast.parse(source)
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             read = isinstance(getattr(child, "ctx", None), ast.Load)
+            read = read and (not called or id(child) in callees)
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
             elif read and isinstance(child, ast.Name) and child.id in names:
@@ -164,12 +168,12 @@ def use_sites(source: str, module: str, names) -> set:
                 found.add((child.attr, scope))
             visit(child, inner)
 
-    visit(ast.parse(source), module)
+    visit(tree, module)
     return found
 
 
-def sites_in_package(names) -> set:
-    return set().union(*(use_sites(path.read_text(), path.stem, names)
+def sites_in_package(names, called: bool = False) -> set:
+    return set().union(*(use_sites(path.read_text(), path.stem, names, called)
                          for path in SOURCES))
 
 
@@ -184,6 +188,29 @@ def test_factor_rule_catches_a_second_call_site():
 
 def test_one_factor_path():
     assert sites_in_package(FACTOR_NAMES) == FACTOR_PATH
+
+
+# A run gets its model state from its grid, which keys it by kernel and
+# initial-design size; a posterior without one builds its own over no grid
+# points.  A state built anywhere else could be shared past that key.
+STATE_BUILDERS = {("GridCorrelations", "optimizer.CandidateGrid.correlations"),
+                  ("GridCorrelations", "gp.SurrogatePosterior.__init__")}
+
+
+def test_state_rule_catches_a_third_construction():
+    source = ("class CandidateGrid:\n"
+              "    def correlations(self, kernel) -> GridCorrelations:\n"
+              "        return GridCorrelations(self.points, kernel)\n"
+              "def grid_run(grid, kernel):\n"
+              "    return gp.GridCorrelations(grid.points, kernel)\n"
+              "def build_posterior(state: Optional[GridCorrelations] = None): pass\n")
+    assert use_sites(source, "optimizer", {"GridCorrelations"}, called=True) == {
+        ("GridCorrelations", "optimizer.CandidateGrid.correlations"),
+        ("GridCorrelations", "optimizer.grid_run")}
+
+
+def test_model_state_built_in_two_places():
+    assert sites_in_package({"GridCorrelations"}, called=True) == STATE_BUILDERS
 
 
 def test_use_sites_skip_the_definition():
