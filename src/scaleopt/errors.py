@@ -26,6 +26,14 @@ class ObjectiveEvaluationError(ScaleoptError):
         super().__init__(f"objective value {value!r} at {point!r} is not finite or overflows")
 
 
+class NonFiniteEstimateError(ScaleoptError):
+    """A model estimate, mu or sigma2, is not finite: the values overflow it."""
+
+    def __init__(self, estimator, estimate, value):
+        super().__init__(f"the {estimator} estimate of {estimate} is {value}, not finite: "
+                         f"the normalized values overflow it")
+
+
 class AllCandidatesDegenerateError(ScaleoptError):
     """Every candidate on the grid is degenerate; argmax cannot select."""
 

@@ -6,17 +6,21 @@ two parameter estimators (sample moments and maximum likelihood).  Both
 estimators are affine equivariant: scaling the observed values by
 ``a*y + b`` maps the mean estimate to ``a*mu + b`` and the variance
 estimate to ``a**2 * sigma2``, which is what makes the acquisition
-criteria built on top of this module scale invariant.  What depends on the
+criteria built on top of this module scale invariant; an estimate beyond
+float64 range raises ``NonFiniteEstimateError``.  What depends on the
 points alone (S's Cholesky factor, the grid correlations and variances) is
-kept in a ``GridCorrelations`` and grows by one row per observation,
-O(n**2 + n*m) on m grid points, instead of O(n**2 * m); it is recorded at
-each history length, so a later run on the same points replays it, with a
-fresh state's bits when both start from one length (``CandidateGrid.correlations``).
+kept in a ``GridCorrelations``, which holds points, never values.  A call one
+observation longer adds one row, O(n**2 + n*m) on m grid points instead of
+O(n**2 * m).  A later run on the same points replays the L recorded at each
+length, and a history that leaves them rewinds, replaying its own points at
+those lengths; runs from one design size share a state
+(``CandidateGrid.correlations``), so each gets a fresh state's bits.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,6 +32,7 @@ from .errors import (
     DuplicatePointsError,
     IllConditionedModelError,
     InsufficientDataError,
+    NonFiniteEstimateError,
 )
 
 # The kernel families and estimators the model knows; the estimator when none is given.
@@ -163,8 +168,8 @@ class ModelParameters:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not (math.isfinite(self.mu) and 0 <= self.sigma2 < math.inf):
+            raise ValueError("mu must be finite, and sigma2 finite and nonnegative")
 
     @property
     def sigma(self) -> float:
@@ -187,10 +192,9 @@ def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(squared)
 
 
-def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) -> np.ndarray:
-    """The n x n matrix of pairwise correlations between history points."""
-    d = _cross_distances(history.points, history.points)
-    sigma = kernel.of_distance(d)
+def correlation_matrix(points: np.ndarray, kernel: CorrelationKernel) -> np.ndarray:
+    """The n x n matrix of pairwise correlations between (n, d) points."""
+    sigma = kernel.of_distance(_cross_distances(points, points))
     np.fill_diagonal(sigma, 1.0)
     return sigma
 
@@ -198,25 +202,27 @@ def correlation_matrix(history: EvaluationHistory, kernel: CorrelationKernel) ->
 class GridCorrelations:
     """The point-only model state of the runs on fixed (m, d) grid points.
 
-    For a growing history: the grid correlations Upsilon (n, m), the lower
-    Cholesky factor L of S + jitter*I, V = L^-1 Upsilon and q,
-    the column sums of V**2.  A new point with correlations s to the earlier
-    ones appends one row of each, at O(n**2 + n*m):
+    It depends on points alone and keeps no values.  For a growing set of
+    points: the grid correlations Upsilon (n, m), the lower Cholesky factor L
+    of S + jitter*I, V = L^-1 Upsilon and q, the column sums of V**2.  A call
+    that adds one point, with correlations s to the earlier ones, appends one
+    row of each, at O(n**2 + n*m):
 
         l = L^-1 s,  d**2 = 1 + jitter - l.l,  v = (upsilon - l'V)/d,  q += v**2
 
-    S is factored in bulk instead for the first points and whenever a new
-    point's d**2 falls below ``_PIVOT_FLOOR``.  This is the only code that
-    factors S; a posterior without a run's state builds one over no grid
-    points.  ``rows`` records L, q and the jitter at each history length it
-    is called with, so a second run on the same points replays them.  The bits
-    depend on the lengths asked for (7 points factored in bulk are not 5 with
-    2 appended), so only runs from one design size share a state.  While
-    V is current only the q's of its bulk factor and of the last length are
-    kept; the others are summed again from V's rows, as the appends summed
-    them.  Arrays handed out are never written again: later rows go beyond
-    them, and a bulk factor, a capacity beyond ``capacity`` or a rewind gets
-    new ones.
+    S is factored in bulk instead by a first call, a call that adds several
+    points, and a new point whose d**2 falls below ``_PIVOT_FLOOR``.  This is
+    the only code that factors S; a posterior without a run's state builds one
+    over no grid points.  ``rows`` records L and the jitter at each length it
+    is called with, so a second run on the same points replays them; a history
+    that leaves those points rewinds, replaying on its own points the recorded
+    lengths it shares.  The bits depend on the lengths asked for (7 points
+    factored in bulk are not 5 with 2 appended), so only runs from one design
+    size share a state.  While V is current only the q's of its bulk factor
+    and of the last length are kept; the others are summed again from V's
+    rows, as the appends summed them.  Arrays handed out are never written
+    again: later rows go beyond them, and a bulk factor, a capacity beyond
+    ``capacity`` or a rewind gets new ones.
     """
 
     def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
@@ -233,52 +239,47 @@ class GridCorrelations:
         self._bulk = self._summed = (0, self._q)  # (length, q) of V's bulk factor, last sum
 
     def rows(self, history: EvaluationHistory):
-        """The state at ``history``: (Upsilon's rows (n, m), L, q, jitter).
+        """The state at ``history``'s points: (Upsilon's rows (n, m), L, q, jitter).
 
-        A history whose points are the first n seen, at a length called
-        before, gets the state recorded there.  One that extends the points
-        seen appends to them.  Any other is rewound first to the calls recorded
-        on the points it shares, so it gets what a state that had seen only
-        those calls would give.
+        The first n points seen, at a length called before, get the state
+        recorded there; points that extend those seen are added.  Any others
+        rewind: new buffers replay the recorded lengths that these points share
+        with those seen, on these points, so the bits are a fresh state's.
         """
-        n = history.n
-        shared = _shared_prefix(history.points, self._seen)
+        points, n = history.points, history.n
+        shared = _shared_prefix(points, self._seen)
         if shared < n or n not in self._states:
             if shared < len(self._seen):
-                self._rewind(shared)
-            self._advance(history)
-        _, lower, jitter = self._states[n]
+                lengths = [k for k in self._states if k <= shared]
+                self._restart(len(self._ups))
+                for k in lengths:
+                    self._advance(points[:k])
+            self._advance(points)
+        lower, jitter = self._states[n]
         return self._ups[:n], lower, self._q_at(n), jitter
 
-    def _rewind(self, shared: int):
-        """Replay, in new buffers, the calls recorded on the first ``shared`` points."""
-        calls = [history for n, (history, *_) in self._states.items() if n <= shared]
-        self._restart(len(self._ups))
-        for history in calls:
-            self._advance(history)
-
-    def _advance(self, history: EvaluationHistory):
-        """Append ``history``'s new points to the state, and record it."""
-        n, k = history.n, len(self._seen)
+    def _advance(self, points: np.ndarray):
+        """Add the (n, d) points beyond those seen to the state, and record length n."""
+        n, k = len(points), len(self._seen)
         if n > len(self._ups):  # doubling keeps the copying O(m) per row
             cap = max(n, 2 * len(self._ups))
             self._ups = _grown(self._ups[:k], (cap, len(self.points)))
             self._v = _grown(self._v[:k], (cap, len(self.points)))
             self._lower = _grown(self._lower[:k, :k], (cap, cap))
-        self._ups[k:n] = self.kernel.of_distance(
-            _cross_distances(history.points[k:n], self.points))
-        if k == 0 or not all(self._append(history.points, i) for i in range(k, n)):
+        self._ups[k:n] = self.kernel.of_distance(_cross_distances(points[k:n], self.points))
+        if k == 0 or n > k + 1 or not self._append(points):
             self._keep_qs()
-            self._refactor(history)
+            self._refactor(points)
         elif k > self._bulk[0]:  # the last length's q can be summed again from V
             del self._kept_q[k]
-        self._seen = history.points.copy()
-        self._states[n] = (history, self._lower[:n, :n], self._jitter)
+        self._seen = points.copy()
+        self._states[n] = (self._lower[:n, :n], self._jitter)
         self._kept_q[n] = self._q
 
-    def _append(self, points: np.ndarray, i: int) -> bool:
-        """Append point i's row of L, V and q; False if its pivot is below the floor."""
-        s = self.kernel.of_distance(_cross_distances(points[i:i + 1], points[:i]))[0]
+    def _append(self, points: np.ndarray) -> bool:
+        """Append the last point's row of L, V and q; False if its pivot is below the floor."""
+        i = len(points) - 1
+        s = self.kernel.of_distance(_cross_distances(points[i:], points[:i]))[0]
         l = _solve_lower(self._lower[:i, :i], s)
         pivot2 = 1.0 + self._jitter - l @ l
         if not pivot2 >= _PIVOT_FLOOR:
@@ -289,11 +290,11 @@ class GridCorrelations:
         self._q = self._q + self._v[i] ** 2
         return True
 
-    def _refactor(self, history: EvaluationHistory):
-        lower, self._jitter = _factor_with_jitter(correlation_matrix(history, self.kernel))
-        v, self._q = _whitened(lower, self._ups[:history.n])
+    def _refactor(self, points: np.ndarray):
+        lower, self._jitter = _factor_with_jitter(correlation_matrix(points, self.kernel))
+        v, self._q = _whitened(lower, self._ups[:len(points)])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
-        self._bulk = self._summed = (history.n, self._q)
+        self._bulk = self._summed = (len(points), self._q)
 
     def _q_at(self, n: int) -> np.ndarray:
         """q at recorded length n, summed again from V's rows if it was not kept."""
@@ -363,7 +364,16 @@ def estimate_sample(history: EvaluationHistory) -> ModelParameters:
     y = history.values
     if y.size < 2:
         raise InsufficientDataError("sample variance needs at least two observations")
-    return ModelParameters(float(y.mean()), float(y.var(ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
+        mu, sigma2 = float(y.mean()), float(y.var(ddof=1))
+    return ModelParameters(_finite("sample", "mu", mu), _finite("sample", "sigma2", sigma2))
+
+
+def _finite(estimator: str, estimate: str, value: float) -> float:
+    """value, or ``NonFiniteEstimateError`` naming the estimate if it is not finite."""
+    if not math.isfinite(value):
+        raise NonFiniteEstimateError(estimator, estimate, value)
+    return value
 
 
 def _factor_with_jitter(sigma: np.ndarray):
@@ -412,16 +422,18 @@ class SurrogatePosterior:
         self._grid_ups, self._factor, self._grid_q, self.jitter = state.rows(history)
         y = history.values
         if estimator == "sample":
-            self.parameters = estimate_sample(history)
-            mu = self.parameters.mu
+            self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
+            self._resid_weights = cho_solve(self._factor, y - self.parameters.mu)
         else:
-            ones = np.ones_like(y)
-            s_inv_ones = cho_solve(self._factor, ones)
-            mu = float(s_inv_ones @ y) / float(s_inv_ones @ ones)
-        # Premultiplied residual weights: (y - mu)' S^-1
-        self._resid_weights = cho_solve(self._factor, y - mu)
-        if estimator == "mle":
-            sigma2 = float((y - mu) @ self._resid_weights) / y.size
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
+                ones = np.ones_like(y)
+                s_inv_ones = cho_solve(self._factor, ones)
+                mu = _finite("mle", "mu", float(s_inv_ones @ y) / float(s_inv_ones @ ones))
+                if not np.isfinite(y - mu).all():  # then sigma2 >= |y - mu|**2 / n**2 overflows
+                    raise NonFiniteEstimateError("mle", "sigma2", math.inf)
+                # Premultiplied residual weights: (y - mu)' S^-1
+                self._resid_weights = cho_solve(self._factor, y - mu)
+                sigma2 = _finite("mle", "sigma2", float((y - mu) @ self._resid_weights) / y.size)
             self.parameters = ModelParameters(mu, max(sigma2, 0.0))
 
     def conditional_moments(self, x) -> Moments:

@@ -56,7 +56,7 @@ def classify(kind, estimator, grid, posterior, asp, visited, sel) -> str:
     history, kernel = posterior.history, posterior.kernel
     ups = kernel.of_distance(gp._cross_distances(history.points, grid.points[top]))
     criteria, raws, sigma2 = oracles.criteria_60(
-        gp.correlation_matrix(history, kernel), posterior.jitter, ups, history.values,
+        gp.correlation_matrix(history.points, kernel), posterior.jitter, ups, history.values,
         estimator, asp.epsilon, "p" if kind == acq.P_CRITERION else "ei")
     best = max(range(len(top)), key=lambda k: criteria[k])
     if best == 0:

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import oracles
 from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg import LinAlgError, cho_solve
 from scaleopt import gp
-from scaleopt.errors import DuplicatePointsError, InsufficientDataError
+from scaleopt.errors import DuplicatePointsError, InsufficientDataError, NonFiniteEstimateError
 from scaleopt.gp import (
     CorrelationKernel,
     EvaluationHistory,
     GridCorrelations,
+    ModelParameters,
     build_posterior,
     correlation_matrix,
     estimate_mle,
@@ -99,18 +101,18 @@ class TestHistory:
 class TestCorrelationMatrix:
     def test_single_point_unit(self):
         h = history_1d(np.array([0.3]), [1.0])
-        np.testing.assert_array_equal(correlation_matrix(h, KERNEL), [[1.0]])
+        np.testing.assert_array_equal(correlation_matrix(h.points, KERNEL), [[1.0]])
 
     def test_two_point_exponential(self):
         h = history_1d(np.array([0.0, 0.2]), [0.0, 1.0])
-        s = correlation_matrix(h, KERNEL)
+        s = correlation_matrix(h.points, KERNEL)
         assert s[0, 1] == pytest.approx(math.exp(-1.0))
         assert s[1, 0] == s[0, 1]
         assert s[0, 0] == s[1, 1] == 1.0
 
     def test_fig1_matches_elementwise_oracle(self):
         h = fig1_history()
-        s = correlation_matrix(h, KERNEL)
+        s = correlation_matrix(h.points, KERNEL)
         ref = oracles.correlation_matrix_loop(FIG1_POINTS, KERNEL)
         np.testing.assert_allclose(s, ref, rtol=0, atol=0)
 
@@ -124,8 +126,30 @@ class TestCorrelationMatrix:
     def test_squared_exponential(self):
         kernel = CorrelationKernel("squared-exponential", 2.0)
         h = history_1d(np.array([0.0, 0.5]), [0.0, 1.0])
-        s = correlation_matrix(h, kernel)
+        s = correlation_matrix(h.points, kernel)
         assert s[0, 1] == pytest.approx(math.exp(-2.0 * 0.25))
+
+
+class TestNonFiniteEstimates:
+    """An estimate beyond float64 range raises ``NonFiniteEstimateError``, unwarned."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    @pytest.mark.parametrize("values, estimate", [
+        ([1.7e308, 1.5e308], "mu"),
+        ([1.7e308, -1.7e308, 1.7e308], "sigma2"),  # mle's y - mu overflows
+        ([1.7e308, -1.7e308, 1.7e308, -1.7e308], "sigma2"),  # mle's (y - mu).w is NaN
+    ])
+    def test_named_by_estimator_and_estimate(self, estimator, values, estimate):
+        history = history_1d(np.linspace(0.0, 1.0, len(values)), values)
+        with pytest.raises(NonFiniteEstimateError, match=f"the {estimator} estimate of {estimate}"):
+            build_posterior(history, KERNEL, estimator)
+
+    @pytest.mark.parametrize("mu, sigma2", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                                            (0.0, math.inf), (0.0, -1.0)])
+    def test_parameters_must_be_finite(self, mu, sigma2):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParameters(mu, sigma2)
 
 
 class TestSampleEstimator:
@@ -198,7 +222,7 @@ class TestLapackCalls:
         points = np.linspace(0.0, 1.0, 18)[:, None]
         history = EvaluationHistory([0.0], [1.0], points, np.sin(3 * points[:, 0]))
         for family in ("exponential", "squared-exponential"):
-            sigma = correlation_matrix(history, CorrelationKernel(family, 5.0))
+            sigma = correlation_matrix(history.points, CorrelationKernel(family, 5.0))
             for jitter in (0.0, 1e-12, 1e-10):
                 yield sigma + jitter * np.eye(len(sigma))
 
@@ -430,29 +454,22 @@ class TestGridCorrelations:
         cache = GridCorrelations(grid, kernel)
         for history in self.histories(rng, 15, 2):
             ups, lower, q, jitter = cache.rows(history)
-            target = correlation_matrix(history, kernel) + jitter * np.eye(history.n)
+            target = correlation_matrix(history.points, kernel) + jitter * np.eye(history.n)
             np.testing.assert_allclose(lower @ lower.T, target, rtol=0, atol=1e-14)
             assert np.array_equal(lower, np.tril(lower))
             v = solve_triangular(lower, ups, lower=True)
             np.testing.assert_allclose(q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
-    def test_two_rows_at_once_equal_one_at_a_time(self, kernel):
+    def test_keeps_no_history_alive(self):
+        # the state holds points, never a history or its values
         rng = np.random.default_rng(19)
-        grid = rng.uniform(0, 1, size=(300, 2))
-        histories = self.histories(rng, 9, 2)
-        one, two = GridCorrelations(grid, kernel), GridCorrelations(grid, kernel)
-        one.rows(histories[4])
-        two.rows(histories[4])
-        for history in histories[5:]:
-            one.rows(history)
-        for history in histories[6::2]:
-            two.rows(history)
-        *arrays, jitter = one.rows(histories[-1])
-        *expected, expected_jitter = two.rows(histories[-1])
-        for a, b in zip(arrays, expected):  # Upsilon, L and q
-            assert np.array_equal(a, b)
-        assert jitter == expected_jitter
+        cache = GridCorrelations(rng.uniform(0, 1, size=(50, 1)), KERNEL)
+        first, second = self.histories(rng, 6, 1)[4:]
+        cache.rows(first)
+        cache.rows(second)
+        refs = [weakref.ref(first), weakref.ref(second)]
+        del first, second
+        assert [ref() for ref in refs] == [None, None]
 
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
         # only the new point's own pivot decides between an append and a bulk factor
@@ -470,7 +487,7 @@ class TestGridCorrelations:
         cache.rows(h)
         assert len(calls) == 2
         _, lower, _, jitter = cache.rows(h)
-        sigma = correlation_matrix(h, kernel) + jitter * np.eye(h.n)
+        sigma = correlation_matrix(h.points, kernel) + jitter * np.eye(h.n)
         assert np.array_equal(lower, np.tril(cho_factor(sigma, lower=True)[0]))
         # a far point appends again, onto the factor that holds that small pivot
         cache.rows(h.with_observation([0.2], 1.5))

@@ -14,6 +14,7 @@ from scaleopt import optimizer as opt
 from scaleopt.errors import (
     AllCandidatesDegenerateError,
     DuplicatePointsError,
+    NonFiniteEstimateError,
     ObjectiveEvaluationError,
 )
 from scaleopt.gp import CorrelationKernel, EvaluationHistory, build_posterior
@@ -192,6 +193,21 @@ def test_run_from_a_longer_design_on_a_shared_grid_is_a_fresh_run(name):
     assert shared.to_csv() == fresh.to_csv()
 
 
+@pytest.mark.parametrize("family", gp.KERNEL_FAMILIES)
+def test_runs_that_rewind_a_shared_state_are_fresh_runs(family):
+    # On one interned region, EI leaves the points P saw, and P again leaves
+    # EI's: each rewinds the shared state, and each trace is a fresh grid's.
+    objective, (lo, hi) = get_objective("sin3x2")
+    options = dict(budget=10, kernel=CorrelationKernel(family, 5.0))
+    traces = []
+    for algorithm in (opt.P_ALGORITHM, opt.ONE_STEP_BAYES, opt.P_ALGORITHM):
+        traces.append(opt.run(algorithm, objective, [lo], [hi], **options))
+        fresh = opt.run(algorithm, objective, [lo], [hi],
+                        grid=opt.CandidateGrid([lo], [hi], 1001), **options)
+        assert traces[-1].to_csv() == fresh.to_csv()
+    assert traces[0].grid_indices != traces[1].grid_indices
+
+
 def test_entry_points_take_the_default_budget():
     objective, (lo, hi) = get_objective("sin3x2")
     runs = [opt.run(opt.P_ALGORITHM, objective, [lo], [hi]),
@@ -322,6 +338,28 @@ class TestNormalizedOverflow:
             opt.run(opt.P_ALGORITHM, overflowing, [-1.0], [1.0], budget=2,
                     initial_design=np.array([[-1.0], [-0.5], [0.5]]))
         assert info.value.point[0] == 0.5
+
+
+def spanning(x):
+    """0, 1e-300, 1.7e8, -1.7e8 and 1 at the default design on [0, 1], sin(9x)
+    elsewhere: normalized by s = 1e-300 the values span 3.4e308, which the
+    estimates of sigma2 overflow."""
+    return {0.0: 0.0, 0.25: 1e-300, 0.5: 1.7e8, 0.75: -1.7e8, 1.0: 1.0}.get(
+        float(x), math.sin(9 * x))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimator", gp.ESTIMATORS)
+@pytest.mark.parametrize("algorithm", [opt.P_ALGORITHM, opt.ONE_STEP_BAYES])
+def test_an_estimate_beyond_float64_raises_one_error(algorithm, estimator):
+    # mle's sigma2 was NaN, which restore rejected with a bare ValueError;
+    # sample's was inf, and the run warned, then found every candidate degenerate
+    options = dict(budget=3, estimator=estimator)
+    match = f"the {estimator} estimate of sigma2 is"
+    with pytest.raises(NonFiniteEstimateError, match=match):
+        opt.run(algorithm, spanning, [0.0], [1.0], **options)
+    with pytest.raises(NonFiniteEstimateError, match=match):
+        homogeneity_check(algorithm, spanning, [0.0], [1.0], 2.0, 1.0, **options)
 
 
 class TestVisitedMask:
