@@ -12,8 +12,9 @@ points alone (S's Cholesky factor, the grid correlations and variances) is
 kept in a ``GridCorrelations``, which holds points, never values.  A call one
 observation longer adds one row, O(n**2 + n*m) on m grid points instead of
 O(n**2 * m).  A later run on the same points replays the L recorded at each
-length, and a history that leaves them rewinds, replaying its own points at
-those lengths; runs from one design size share a state
+length and sums its q again from V's rows, keeping only the q's they cannot
+give back; a history that leaves those points rewinds, replaying its own points
+at those lengths.  Runs from one design size share a state
 (``CandidateGrid.correlations``), so each gets a fresh state's bits.
 """
 
@@ -43,8 +44,8 @@ DEFAULT_ESTIMATOR = "mle"
 # Minimum pairwise distance (max-norm) between history points.
 DUPLICATE_THRESHOLD = 1e-12
 
-# Raw conditional variances in [-VARIANCE_CLAMP_TOL * sigma2, 0) clamp
-# silently to zero; anything more negative is flagged.
+# The unitless raw variance 1 - q clamps silently to zero in [-VARIANCE_CLAMP_TOL, 0)
+# and is flagged below that; it reads points alone, so f and a*f + b cannot differ.
 VARIANCE_CLAMP_TOL = 1e-10
 
 _JITTER_START = 1e-12
@@ -57,7 +58,7 @@ _JITTER_MAX = 1e-6
 _PIVOT_FLOOR = 2.0 ** -26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class EvaluationHistory:
     """Observed pairs (x_i, y_i) inside a feasible hyper-rectangle."""
 
@@ -179,7 +180,7 @@ class ModelParameters:
 class Moments(NamedTuple):
     mean: float
     variance: float
-    clamped: bool  # raw variance was below -VARIANCE_CLAMP_TOL * sigma2
+    clamped: bool  # the unitless 1 - q was below -VARIANCE_CLAMP_TOL
 
 
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,11 +219,11 @@ class GridCorrelations:
     that leaves those points rewinds, replaying on its own points the recorded
     lengths it shares.  The bits depend on the lengths asked for (7 points
     factored in bulk are not 5 with 2 appended), so only runs from one design
-    size share a state.  While V is current only the q's of its bulk factor
-    and of the last length are kept; the others are summed again from V's
-    rows, as the appends summed them.  Arrays handed out are never written
-    again: later rows go beyond them, and a bulk factor, a capacity beyond
-    ``capacity`` or a rewind gets new ones.
+    size share a state.  Only the q's of lengths recorded before V's bulk
+    factor are kept, as V's rows cannot give them back; a cursor sums the
+    others again from the bulk's q, in the appends' order.  Arrays handed out
+    are never written again: later rows go beyond them, and a bulk factor, a
+    capacity beyond ``capacity`` or a rewind gets new ones.
     """
 
     def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
@@ -235,8 +236,8 @@ class GridCorrelations:
         self._seen, self._states, self._kept_q = self.points[:0], {}, {}
         self._ups, self._v = np.zeros((capacity, m)), np.zeros((capacity, m))
         self._lower = np.zeros((capacity, capacity))
-        self._q, self._jitter = np.zeros(m), 0.0
-        self._bulk = self._summed = (0, self._q)  # (length, q) of V's bulk factor, last sum
+        self._jitter = 0.0
+        self._bulk = self._summed = (0, np.zeros(m))  # (length, q) of V's bulk factor, the cursor
 
     def rows(self, history: EvaluationHistory):
         """The state at ``history``'s points: (Upsilon's rows (n, m), L, q, jitter).
@@ -268,13 +269,10 @@ class GridCorrelations:
             self._lower = _grown(self._lower[:k, :k], (cap, cap))
         self._ups[k:n] = self.kernel.of_distance(_cross_distances(points[k:n], self.points))
         if k == 0 or n > k + 1 or not self._append(points):
-            self._keep_qs()
+            self._kept_q = {j: self._q_at(j) for j in self._states}  # before V is replaced
             self._refactor(points)
-        elif k > self._bulk[0]:  # the last length's q can be summed again from V
-            del self._kept_q[k]
         self._seen = points.copy()
         self._states[n] = (self._lower[:n, :n], self._jitter)
-        self._kept_q[n] = self._q
 
     def _append(self, points: np.ndarray) -> bool:
         """Append the last point's row of L, V and q; False if its pivot is below the floor."""
@@ -287,17 +285,17 @@ class GridCorrelations:
         d = np.sqrt(pivot2)
         self._lower[i, :i], self._lower[i, i] = l, d
         self._v[i] = (self._ups[i] - l @ self._v[:i]) / d
-        self._q = self._q + self._v[i] ** 2
+        self._summed = (i + 1, self._q_at(i) + self._v[i] ** 2)
         return True
 
     def _refactor(self, points: np.ndarray):
         lower, self._jitter = _factor_with_jitter(correlation_matrix(points, self.kernel))
-        v, self._q = _whitened(lower, self._ups[:len(points)])
+        v, q = _whitened(lower, self._ups[:len(points)])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
-        self._bulk = self._summed = (len(points), self._q)
+        self._bulk = self._summed = (len(points), q)
 
     def _q_at(self, n: int) -> np.ndarray:
-        """q at recorded length n, summed again from V's rows if it was not kept."""
+        """q at recorded length n: kept if it precedes V's bulk factor, else summed from it."""
         q = self._kept_q.get(n)
         if q is None:
             start, q = self._summed if self._summed[0] <= n else self._bulk
@@ -305,10 +303,6 @@ class GridCorrelations:
                 q = q + self._v[i] ** 2
             self._summed = (n, q)
         return q
-
-    def _keep_qs(self):
-        """Keep every recorded q that V's rows would give, before V is replaced."""
-        self._kept_q = {n: self._q_at(n) for n in self._states}
 
 
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> int:

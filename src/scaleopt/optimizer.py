@@ -67,7 +67,7 @@ DEFAULT_BUDGET = 20
 DEFAULT_EPSILON = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class CandidateGrid:
     """Lexicographically ordered lattice over a hyper-rectangle."""
 

@@ -471,6 +471,28 @@ class TestGridCorrelations:
         del first, second
         assert [ref() for ref in refs] == [None, None]
 
+    def test_keeps_only_the_qs_v_cannot_give_back(self, monkeypatch):
+        # one bulk factor, then appends: a replay sums each q again from V's
+        # rows rather than keeping one q per length
+        calls, factor = [], gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor", lambda a: calls.append(a) or factor(a))
+        rng = np.random.default_rng(29)
+        axis = np.linspace(0, 1, 41)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        cache = GridCorrelations(grid, KERNEL)
+        histories = self.histories(rng, 30, 2)
+        for _ in range(2):  # 30 one-point calls, then the same lengths replayed
+            for history in histories:
+                cache.rows(history)
+        assert len(calls) == 1
+        found = []
+        for value in vars(cache).values():
+            if isinstance(value, dict):
+                value = tuple(value.values())
+            found += value if isinstance(value, tuple) else [value]
+        qs = {id(a) for a in found if isinstance(a, np.ndarray) and a.shape == (len(grid),)}
+        assert len(qs) <= 3
+
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
         # only the new point's own pivot decides between an append and a bulk factor
         calls, factor = [], gp.cho_factor

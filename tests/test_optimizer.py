@@ -64,6 +64,15 @@ class TestCandidateGrid:
         opt.CandidateGrid.for_region([0.0], [2.0], 11)
         assert kept() is None
 
+    def test_grid_and_history_compare_and_hash_by_identity(self):
+        # equality over their array fields would be ambiguous, and arrays do not hash
+        grid = opt.CandidateGrid([0.0, 0.0], [1.0, 1.0], 5)
+        history = EvaluationHistory([0.0], [1.0], [[0.2], [0.5]], [1.0, 2.0])
+        assert {grid, history, grid, history} == {grid, history}
+        assert grid != opt.CandidateGrid([0.0, 0.0], [1.0, 1.0], 5)
+        assert history != EvaluationHistory([0.0], [1.0], [[0.2], [0.5]], [1.0, 2.0])
+        assert history != history.with_observation([0.7], 3.0)
+
     def test_2d_lexicographic(self):
         grid = opt.CandidateGrid(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 3)
         pts = grid.points
