@@ -73,14 +73,16 @@ def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLeve
                    points: np.ndarray):
     """Criterion values and degeneracy mask over an (m, d) candidate array."""
     means, variances, _ = posterior.moments_grid(points)
-    s = np.sqrt(variances)
+    s = np.sqrt(variances, out=variances)
     degenerate = s <= DEGENERATE_FACTOR * posterior.parameters.sigma
     if kind == P_CRITERION:
+        values = np.subtract(asp.y_on, means, out=means)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            values = (asp.y_on - means) / np.where(degenerate, 1.0, s)
-        values = np.where(degenerate, -np.inf, values)
+            values /= s  # a degenerate entry's quotient is replaced next
+        np.copyto(values, -np.inf, where=degenerate)
     elif kind == EXPECTED_IMPROVEMENT:
-        values = ei_closed_form(means, np.where(degenerate, 0.0, s), asp.y_on)
+        np.copyto(s, 0.0, where=degenerate)
+        values = ei_closed_form(means, s, asp.y_on)
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
     return values, degenerate

@@ -8,19 +8,20 @@ estimators are affine equivariant: scaling the observed values by
 estimate to ``a**2 * sigma2``, which is what makes the acquisition
 criteria built on top of this module scale invariant; an estimate beyond
 float64 range raises ``NonFiniteEstimateError``.  What depends on the
-points alone (S's Cholesky factor, the grid correlations and variances) is
-kept in a ``GridCorrelations``, which holds points, never values.  A call one
-observation longer adds one row, O(n**2 + n*m) on m grid points instead of
-O(n**2 * m).  A later run on the same points replays the L recorded at each
-length and sums its q again from V's rows, keeping only the q's they cannot
-give back; a history that leaves those points rewinds, replaying its own points
-at those lengths.  Runs from one design size share a state
-(``CandidateGrid.correlations``), so each gets a fresh state's bits.
+points alone (S's Cholesky factor with S^-1 1 beside it, the grid
+correlations and variances) is kept in a ``GridCorrelations``, which holds
+points, never values.  A call one observation longer adds one row,
+O(n**2 + n*m) on m grid points instead of O(n**2 * m).  A later run on the
+same points replays the L recorded at each length and sums its q again from
+V's rows, keeping only the q's they cannot give back; a history that leaves
+those points rewinds, replaying its own points at those lengths.  Runs from one design size share a state
+(``CandidateGrid.correlations``), so each gets a fresh state's bits.  A
+run's observations live in a ``HistoryBuffer``, whose histories view its
+rows, so a step copies no history.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -101,16 +102,62 @@ class EvaluationHistory:
 
     def with_observation(self, point, value) -> "EvaluationHistory":
         """This history and one more observation; only the new point is checked."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))[None, :]
-        value = np.atleast_1d(float(value))
-        check_inside(point, self.lower, self.upper, value)
-        same = same_point(self.points, point)
-        if same.any():
-            raise _duplicates(int(np.argmax(same)), self.n)
-        extended = copy.copy(self)  # skips __post_init__, which checks every point
-        object.__setattr__(extended, "points", np.concatenate([self.points, point]))
-        object.__setattr__(extended, "values", np.concatenate([self.values, value]))
-        return extended
+        point, value = _checked_observation(self, point, value)
+        return _with_rows(self, np.concatenate([self.points, point[None, :]]),
+                          np.append(self.values, value))
+
+
+class HistoryBuffer:
+    """A run's observations, kept in arrays with room for ``capacity`` of them.
+
+    ``history`` views the rows observed so far.  ``append`` checks the new
+    point as ``with_observation`` does, writes its row and moves ``history``
+    on, so nothing is concatenated or copied; a row is written once, beyond
+    every history handed out, so those never change.
+    """
+
+    def __init__(self, history: EvaluationHistory, capacity: int):
+        n = history.n
+        self._points = np.empty((capacity, history.points.shape[1]))
+        self._values = np.empty(capacity)
+        self._points[:n], self._values[:n] = history.points, history.values
+        self.history = _with_rows(history, self._points[:n], self._values[:n])
+
+    def append(self, point, value) -> EvaluationHistory:
+        """The history one observation longer, now ``history``."""
+        n = self.history.n
+        self._points[n], self._values[n] = _checked_observation(self.history, point, value)
+        self.history = _with_rows(self.history, self._points[:n + 1], self._values[:n + 1])
+        return self.history
+
+
+def _checked_observation(history: EvaluationHistory, point, value):
+    """The new point (d,) and value as a float, checked by the history's rules:
+    finite, inside the region and not the same point as any history point.
+    Only the new point is tested, in O(n*d), with the messages of a full check."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    value = float(value)
+    if point.shape != history.lower.shape:
+        raise ValueError("points must have shape (n, d)")
+    coords = point.tolist()
+    if not (all(map(math.isfinite, coords)) and math.isfinite(value)):
+        raise ValueError("points and values must be finite")
+    if any(x < lo - 1e-12 or x > hi + 1e-12
+           for x, lo, hi in zip(coords, history.lower.tolist(), history.upper.tolist())):
+        raise ValueError("points must lie inside the region")
+    same = same_point(history.points, point[None, :])
+    if same.any():
+        raise _duplicates(int(np.argmax(same)), history.n)
+    return point, value
+
+
+def _with_rows(history: EvaluationHistory, points: np.ndarray,
+               values: np.ndarray) -> EvaluationHistory:
+    """``history`` on these checked points and values, skipping ``__post_init__``,
+    which checks every point."""
+    extended = object.__new__(type(history))
+    vars(extended).update(vars(history), points=points, values=values)
+    return extended
 
 
 def check_inside(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, values=()):
@@ -138,6 +185,14 @@ def same_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[1]):
         same &= np.abs(a[:, None, k] - b[None, :, k]) <= DUPLICATE_THRESHOLD
     return same
+
+
+def lattice_separated(axes) -> bool:
+    """Whether each step along every axis of a lattice exceeds DUPLICATE_THRESHOLD
+    (False for an axis that is not strictly increasing).  Then two lattice points
+    that differ on an axis differ there by a step or more, so a lattice point's
+    ``same_point`` mask over the lattice is its own index."""
+    return all(bool((np.diff(axis) > DUPLICATE_THRESHOLD).all()) for axis in axes)
 
 
 @dataclass(frozen=True)
@@ -174,7 +229,7 @@ class ModelParameters:
 
     @property
     def sigma(self) -> float:
-        return float(np.sqrt(self.sigma2))
+        return math.sqrt(self.sigma2)  # correctly rounded, as np.sqrt
 
 
 class Moments(NamedTuple):
@@ -217,13 +272,14 @@ class GridCorrelations:
     over no grid points.  ``rows`` records L and the jitter at each length it
     is called with, so a second run on the same points replays them; a history
     that leaves those points rewinds, replaying on its own points the recorded
-    lengths it shares.  The bits depend on the lengths asked for (7 points
-    factored in bulk are not 5 with 2 appended), so only runs from one design
-    size share a state.  Only the q's of lengths recorded before V's bulk
-    factor are kept, as V's rows cannot give them back; a cursor sums the
-    others again from the bulk's q, in the appends' order.  Arrays handed out
-    are never written again: later rows go beyond them, and a bulk factor, a
-    capacity beyond ``capacity`` or a rewind gets new ones.
+    lengths it shares.  ``ones_solve`` keeps S^-1 1 and 1' S^-1 1 beside each
+    recorded L, solved once on it.  The bits depend on the lengths asked for
+    (7 points factored in bulk are not 5 with 2 appended), so only runs from
+    one design size share a state.  Only the q's of lengths recorded before
+    V's bulk factor are kept, as V's rows cannot give them back; a cursor sums
+    the others again from the bulk's q, in the appends' order.  Arrays handed
+    out are never written again: later rows go beyond them, and a bulk factor,
+    growing beyond the capacity or a rewind gets new ones.
     """
 
     def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
@@ -233,11 +289,19 @@ class GridCorrelations:
     def _restart(self, capacity: int):
         """Empty buffers for ``capacity`` points, and no recorded state."""
         m = len(self.points)
-        self._seen, self._states, self._kept_q = self.points[:0], {}, {}
+        self._seen, self._states, self._kept_q, self._ones = self.points[:0], {}, {}, {}
         self._ups, self._v = np.zeros((capacity, m)), np.zeros((capacity, m))
         self._lower = np.zeros((capacity, capacity))
         self._jitter = 0.0
         self._bulk = self._summed = (0, np.zeros(m))  # (length, q) of V's bulk factor, the cursor
+
+    def reserve(self, capacity: int):
+        """Room for ``capacity`` points, grown at once if there is less."""
+        if capacity > len(self._ups):
+            k, m = len(self._seen), len(self.points)
+            self._ups = _grown(self._ups[:k], (capacity, m))
+            self._v = _grown(self._v[:k], (capacity, m))
+            self._lower = _grown(self._lower[:k, :k], (capacity, capacity))
 
     def rows(self, history: EvaluationHistory):
         """The state at ``history``'s points: (Upsilon's rows (n, m), L, q, jitter).
@@ -259,20 +323,27 @@ class GridCorrelations:
         lower, jitter = self._states[n]
         return self._ups[:n], lower, self._q_at(n), jitter
 
+    def ones_solve(self, n: int):
+        """(S^-1 1, 1' S^-1 1) at recorded length n, from one ``cho_solve`` on its L."""
+        solved = self._ones.get(n)
+        if solved is None:
+            ones = np.ones(n)
+            s_inv_ones = cho_solve(self._states[n][0], ones)
+            solved = self._ones[n] = (s_inv_ones, float(s_inv_ones @ ones))
+        return solved
+
     def _advance(self, points: np.ndarray):
         """Add the (n, d) points beyond those seen to the state, and record length n."""
         n, k = len(points), len(self._seen)
         if n > len(self._ups):  # doubling keeps the copying O(m) per row
-            cap = max(n, 2 * len(self._ups))
-            self._ups = _grown(self._ups[:k], (cap, len(self.points)))
-            self._v = _grown(self._v[:k], (cap, len(self.points)))
-            self._lower = _grown(self._lower[:k, :k], (cap, cap))
+            self.reserve(max(n, 2 * len(self._ups)))
         self._ups[k:n] = self.kernel.of_distance(_cross_distances(points[k:n], self.points))
         if k == 0 or n > k + 1 or not self._append(points):
             self._kept_q = {j: self._q_at(j) for j in self._states}  # before V is replaced
             self._refactor(points)
         self._seen = points.copy()
-        self._states[n] = (self._lower[:n, :n], self._jitter)
+        # L in column order, which LAPACK reads as it is: a view would be copied per solve
+        self._states[n] = (np.asfortranarray(self._lower[:n, :n]), self._jitter)
 
     def _append(self, points: np.ndarray) -> bool:
         """Append the last point's row of L, V and q; False if its pivot is below the floor."""
@@ -284,8 +355,10 @@ class GridCorrelations:
             return False
         d = np.sqrt(pivot2)
         self._lower[i, :i], self._lower[i, i] = l, d
-        self._v[i] = (self._ups[i] - l @ self._v[:i]) / d
-        self._summed = (i + 1, self._q_at(i) + self._v[i] ** 2)
+        v = self._v[i]
+        np.subtract(self._ups[i], l @ self._v[:i], out=v)
+        v /= d
+        self._summed = (i + 1, _plus_square(self._q_at(i), v))
         return True
 
     def _refactor(self, points: np.ndarray):
@@ -300,9 +373,16 @@ class GridCorrelations:
         if q is None:
             start, q = self._summed if self._summed[0] <= n else self._bulk
             for i in range(start, n):
-                q = q + self._v[i] ** 2
+                q = _plus_square(q, self._v[i])
             self._summed = (n, q)
         return q
+
+
+def _plus_square(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A new q + v**2 (IEEE + commutes), with v**2 as the one temporary."""
+    total = v ** 2
+    total += q
+    return total
 
 
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> int:
@@ -396,8 +476,9 @@ class SurrogatePosterior:
     ``grid_correlations``, built under the same kernel, or else from a
     ``GridCorrelations`` over no grid points built for this history.
     The ``mle`` estimates are the generalized-least-squares mean
-    (1' S^-1 y) / (1' S^-1 1) and the averaged quadratic form of the
-    residual weights S^-1 (y - mu), which the means use too; ``sample``
+    (1' S^-1 y) / (1' S^-1 1), with S^-1 1 from the state's ``ones_solve``,
+    and the averaged quadratic form of the residual weights S^-1 (y - mu),
+    which the means use too; ``sample``
     uses ``estimate_sample``.  The raw conditional variance is 1 - q, with
     q the column sums of (L^-1 Upsilon)**2.  Immutable after construction;
     moment queries are read-only.
@@ -420,14 +501,14 @@ class SurrogatePosterior:
             self._resid_weights = cho_solve(self._factor, y - self.parameters.mu)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
-                ones = np.ones_like(y)
-                s_inv_ones = cho_solve(self._factor, ones)
-                mu = _finite("mle", "mu", float(s_inv_ones @ y) / float(s_inv_ones @ ones))
-                if not np.isfinite(y - mu).all():  # then sigma2 >= |y - mu|**2 / n**2 overflows
+                s_inv_ones, ones_norm = state.ones_solve(history.n)
+                mu = _finite("mle", "mu", float(s_inv_ones @ y) / ones_norm)
+                resid = y - mu
+                if not np.isfinite(resid).all():  # then sigma2 >= |y - mu|**2 / n**2 overflows
                     raise NonFiniteEstimateError("mle", "sigma2", math.inf)
                 # Premultiplied residual weights: (y - mu)' S^-1
-                self._resid_weights = cho_solve(self._factor, y - mu)
-                sigma2 = _finite("mle", "sigma2", float((y - mu) @ self._resid_weights) / y.size)
+                self._resid_weights = cho_solve(self._factor, resid)
+                sigma2 = _finite("mle", "sigma2", float(resid @ self._resid_weights) / y.size)
             self.parameters = ModelParameters(mu, max(sigma2, 0.0))
 
     def conditional_moments(self, x) -> Moments:
@@ -447,11 +528,14 @@ class SurrogatePosterior:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
             _, q = _whitened(self._factor, ups)
-        means = self.parameters.mu + self._resid_weights @ ups
-        raw = 1.0 - q
-        sigma2 = self.parameters.sigma2
-        clamped = raw < -VARIANCE_CLAMP_TOL
-        variances = sigma2 * np.clip(raw, 0.0, 1.0)
+        # In place; IEEE + and * commute, so these are mu + w.Upsilon and
+        # sigma2 * clip(1 - q, 0, 1) bit for bit.
+        means = self._resid_weights @ ups
+        means += self.parameters.mu
+        variances = 1.0 - q
+        clamped = variances < -VARIANCE_CLAMP_TOL
+        np.clip(variances, 0.0, 1.0, out=variances)
+        variances *= self.parameters.sigma2
         return means, variances, clamped
 
 

@@ -71,7 +71,7 @@ class ExtendedNumeral:
     @property
     def is_finite(self) -> bool:
         """Purely finite: zero or a single grade-0 term."""
-        return self.is_zero or set(self.terms) == {0}
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     @property
     def is_monomial(self) -> bool:
@@ -99,7 +99,7 @@ class ExtendedNumeral:
         terms = dict(self.terms)
         for grade, coeff in other.terms.items():
             terms[grade] = terms.get(grade, 0) + sign * coeff
-        return ExtendedNumeral(terms)
+        return _canonical(terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -113,7 +113,7 @@ class ExtendedNumeral:
         return _coerce(other) - self
 
     def __neg__(self):
-        return ExtendedNumeral({g: -c for g, c in self.terms.items()})
+        return _canonical({g: -c for g, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -121,7 +121,7 @@ class ExtendedNumeral:
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
                 terms[g1 + g2] = terms.get(g1 + g2, 0) + c1 * c2
-        return ExtendedNumeral(terms)
+        return _canonical(terms)
 
     __rmul__ = __mul__
 
@@ -131,7 +131,7 @@ class ExtendedNumeral:
             raise UnsupportedDivisionError(
                 "division is supported only by a single nonzero term")
         grade, coeff = next(iter(divisor.terms.items()))
-        return ExtendedNumeral({g - grade: c / coeff for g, c in self.terms.items()})
+        return _canonical({g - grade: c / coeff for g, c in self.terms.items()})
 
     def __truediv__(self, other):
         return self.div_monomial(other)
@@ -140,7 +140,7 @@ class ExtendedNumeral:
 
     def compare(self, other) -> int:
         """Sign of self - other under the grade-lexicographic order."""
-        diff = self - other
+        diff = self if type(other) is int and other == 0 else self - other
         if diff.is_zero:
             return 0
         _, coeff = diff.leading()
@@ -193,6 +193,15 @@ class ExtendedNumeral:
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _canonical(terms: dict) -> ExtendedNumeral:
+    """The numeral of terms that are already canonical, int grades and
+    ``Fraction`` coefficients, with its zero terms dropped: what ``__init__``
+    makes of them, without converting each term again."""
+    numeral = object.__new__(ExtendedNumeral)
+    object.__setattr__(numeral, "terms", {g: c for g, c in terms.items() if c})
+    return numeral
 
 
 def _coefficient_text(c: Fraction) -> str:

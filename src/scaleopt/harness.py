@@ -132,7 +132,7 @@ def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
         out[f"crit_{tag}"] = crit
         out[f"y_on_{tag}"] = asp.y_on
         out[f"argmax_{tag}"] = optimizer.select_best(
-            crit, ~history.visited(xs) & ~degenerate, xs).grid_index
+            crit.copy(), ~history.visited(xs) & ~degenerate, xs).grid_index
     return out
 
 

@@ -3,13 +3,16 @@
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
-``grossone.scaled_criterion_run``.  It keeps its visited mask, O(m*d) to
-update per observation on m grid points.  The model's point-only state
-(``gp.GridCorrelations``: the grid correlations, the Cholesky factor and
-the grid variances) grows by one observation at O(n**2 + n*m); the grid
-hands out one per kernel and design size (``CandidateGrid.correlations``),
-and ``CandidateGrid.for_region`` interns its last grid, so a run on points
-another run has seen replays what that run computed, bit for bit.
+``grossone.scaled_criterion_run``.  It keeps its visited mask, built from
+the design and marked by index at each step on a ``separated`` grid (by
+the O(m*d) ``same_point`` mask on m grid points otherwise), and its
+observations in a ``gp.HistoryBuffer``, so a step copies no history.  The
+model's point-only state (``gp.GridCorrelations``: the grid correlations,
+the Cholesky factor and the grid variances) grows by one observation at
+O(n**2 + n*m); the grid hands out one per kernel and design size
+(``CandidateGrid.correlations``), and ``CandidateGrid.for_region`` interns
+its last grid, so a run on points another run has seen replays what that
+run computed, bit for bit.
 
 Objective values are read by one rule, ``exact_value``, which keeps
 ``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
@@ -48,9 +51,11 @@ from .gp import (
     CorrelationKernel,
     EvaluationHistory,
     GridCorrelations,
+    HistoryBuffer,
     SurrogatePosterior,
     build_posterior,
     check_inside,
+    lattice_separated,
     same_point,
 )
 
@@ -88,6 +93,7 @@ class CandidateGrid:
         points = np.stack([m.ravel() for m in mesh], axis=1)
         points.flags.writeable = False  # shared by every step and caller
         object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_separated", lattice_separated(axes))
         object.__setattr__(self, "_correlations", {})
 
     @classmethod
@@ -103,20 +109,29 @@ class CandidateGrid:
         """The (m, d) candidates in lexicographic order, built once, read-only."""
         return self._points
 
+    @property
+    def separated(self) -> bool:
+        """Whether no two candidates count as the same point (``gp.lattice_separated``),
+        so a candidate's visited mask is its own index."""
+        return self._separated
+
     def correlations(self, kernel: CorrelationKernel, design_size: int = 0,
                      capacity: int = 0) -> GridCorrelations:
         """The model's point-only state on these candidates under ``kernel``.
 
-        There is one per kernel and initial-design size, made with room for
-        ``capacity`` points on the first call, and the runs on this grid with
-        both share it: a run on points another has seen replays that run's
-        state (``GridCorrelations.rows``), with a fresh state's bits, as both
-        ask for it at consecutive lengths from the design size.
+        There is one per kernel and initial-design size, and the runs on this
+        grid with both share it: a run on points another has seen replays that
+        run's state (``GridCorrelations.rows``), with a fresh state's bits, as
+        both ask for it at consecutive lengths from the design size.  Every
+        call makes room for ``capacity`` points at once, so a run that asks
+        for its whole length grows the state at most once.
         """
         key = (kernel, design_size)
         if key not in self._correlations:
             self._correlations[key] = GridCorrelations(self.points, kernel, capacity)
-        return self._correlations[key]
+        state = self._correlations[key]
+        state.reserve(capacity)
+        return state
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -147,8 +162,11 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
 
 def select_best(values: np.ndarray, eligible: np.ndarray,
                 points: np.ndarray) -> Selection:
-    """The eligible candidate with the largest value, lowest index on exact ties."""
-    idx = int(np.argmax(np.where(eligible, values, -np.inf)))  # first occurrence = lowest index
+    """The eligible candidate with the largest value, lowest index on exact ties.
+
+    It ranks ``values`` in place: each ineligible entry becomes -inf."""
+    np.copyto(values, -np.inf, where=~eligible)
+    idx = int(np.argmax(values))  # first occurrence = lowest index
     if not eligible[idx]:  # no eligible candidate, or every eligible value is -inf
         if not eligible.any():
             raise AllCandidatesDegenerateError(
@@ -242,12 +260,18 @@ def exact_value(value, point) -> Fraction:
     through ``float``.  A value that is not finite, or overflows float64,
     raises ``ObjectiveEvaluationError``.
     """
+    if type(value) is float:  # the common case, without the checks below
+        if math.isfinite(value):
+            return Fraction(value)
+        raise ObjectiveEvaluationError(point, value)
     try:
         as_float = float(value)
     except OverflowError:
         as_float = math.inf
     if not math.isfinite(as_float):
         raise ObjectiveEvaluationError(point, value)
+    if type(value) is Fraction:  # immutable, so kept as it is
+        return value
     return Fraction(value if isinstance(value, (Fraction, int)) else as_float)
 
 
@@ -325,7 +349,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     grid = grid or CandidateGrid.for_region(lower, upper)
     points = grid.points
     check_inside(points, design.lower, design.upper)
-    visited = design.visited(points)  # history.visited(points), kept by observe
+    visited = design.visited(points)  # history.visited(points), kept by each step
     unvisited = np.count_nonzero(~visited)
     if budget > unvisited:
         raise ValueError(f"budget {budget} exceeds the {unvisited} grid candidates "
@@ -345,7 +369,6 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
             h = float(normalize(value))
         except OverflowError:  # |y - y_0|/s beyond float64 range
             raise ObjectiveEvaluationError(point, float(value)) from None
-        visited[same_point(points, point[None, :])[:, 0]] = True
         return h, float(value), float(best)
 
     values = []
@@ -354,9 +377,11 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         values.append(h)
         trace.records.append(TraceRecord(0, -1, point, value, None, None, None,
                                          None, best_f))
-    history = EvaluationHistory(lower, upper, design.points, values)
+    observed = HistoryBuffer(EvaluationHistory(lower, upper, design.points, values),
+                             design.n + budget)
 
     for it in range(1, budget + 1):
+        history = observed.history
         posterior = build_posterior(history, kernel, estimator, correlations)
         params = posterior.parameters
         mu = normalize.restore(params.mu, shifted=True)
@@ -372,7 +397,11 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
             criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
             y_on = normalize.restore(asp.y_on, shifted=True)
         h, value, best_f = observe(sel.point)
-        history = history.with_observation(sel.point, h)
+        if grid.separated:  # the candidate is the same point as itself only
+            visited[sel.grid_index] = True
+        else:
+            visited[same_point(points, sel.point[None, :])[:, 0]] = True
+        observed.append(sel.point, h)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, criterion,
                                          mu, sigma2, y_on, best_f,
                                          degenerate_step=zero_spread))

@@ -66,6 +66,22 @@ class TestHistory:
         else:
             EvaluationHistory([0.0, 0.0], [1.0, 1.0], points, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("axes, separated", [
+        ([np.linspace(0.0, 1.0, 1001)], True),
+        ([np.linspace(0.0, 1.0, 101), np.linspace(-2.0, 3.0, 101)], True),
+        ([np.linspace(0.0, 1e-10, 1001)], False),  # steps of 1e-13
+        ([np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1e-9, 2001)], False),
+        ([np.array([0.0, 1e-12, 1.0])], False),  # a step of exactly the threshold
+        ([np.array([0.0, 0.5, 0.5])], False),  # not strictly increasing
+    ])
+    def test_lattice_separated(self, axes, separated):
+        assert gp.lattice_separated(axes) is separated
+        lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        if len(lattice) <= 3000:
+            # separated exactly when each lattice point's mask is its own index
+            own = np.eye(len(lattice), dtype=bool)
+            assert np.array_equal(gp.same_point(lattice, lattice), own) is separated
+
     def test_same_point_pairwise_shape(self):
         a = np.array([[0.0], [0.5], [1.0]])
         np.testing.assert_array_equal(gp.same_point(a, a[1:]),
@@ -83,7 +99,8 @@ class TestHistory:
     ], ids=["nan-point", "inf-value", "outside", "duplicate", "within-threshold",
             "first-of-two"])
     def test_append_checks_new_point_as_full_build(self, point, value):
-        # the same error type and message as validating the whole history
+        # the same error type and message as validating the whole history,
+        # from with_observation and from a run's buffer, which stays as it was
         points = np.array([[0.25, 0.5], [0.75, 0.75], [0.25, 0.5 - 1.5e-12]])
         h = EvaluationHistory([0.0, 0.0], [1.0, 1.0], points, [1.0, 2.0, 3.0])
         with pytest.raises((ValueError, DuplicatePointsError)) as full:
@@ -91,6 +108,28 @@ class TestHistory:
                               np.append(h.values, value))
         with pytest.raises(full.type, match=f"^{re.escape(str(full.value))}$"):
             h.with_observation(point, value)
+        buffer = gp.HistoryBuffer(h, 5)
+        with pytest.raises(full.type, match=f"^{re.escape(str(full.value))}$"):
+            buffer.append(point, value)
+        assert buffer.history.n == 3
+        assert buffer.append([0.5, 0.5], 4.0).n == 4
+
+    def test_buffer_histories_are_the_with_observation_chain(self):
+        # each history views the buffer's rows, with the chain's bits, and
+        # rows written later leave the histories handed out unchanged
+        rng = np.random.default_rng(31)
+        points, values = oracles.random_history(rng, 12, 2)
+        chain = [EvaluationHistory([0.0, 0.0], [1.0, 1.0], points[:4], values[:4])]
+        buffer = gp.HistoryBuffer(chain[0], 12)
+        handed = [buffer.history]
+        for point, value in zip(points[4:], values[4:]):
+            chain.append(chain[-1].with_observation(point, value))
+            handed.append(buffer.append(point, value))
+        assert handed[-1] is buffer.history
+        for viewed, appended in zip(handed, chain):
+            assert viewed.points.tobytes() == appended.points.tobytes()
+            assert viewed.values.tobytes() == appended.values.tobytes()
+            assert np.shares_memory(viewed.points, handed[-1].points)
 
     def test_append_rejects_wrong_dimension(self):
         h = history_1d(np.array([0.1, 0.2]), [1.0, 2.0])
@@ -492,6 +531,22 @@ class TestGridCorrelations:
             found += value if isinstance(value, tuple) else [value]
         qs = {id(a) for a in found if isinstance(a, np.ndarray) and a.shape == (len(grid),)}
         assert len(qs) <= 3
+
+    def test_ones_solved_once_per_recorded_length(self, monkeypatch):
+        # an mle posterior solves for its residual weights only; S^-1 1 comes
+        # from the state, solved once at each length, with a fresh state's bits
+        calls, solve = [], gp.cho_solve
+        monkeypatch.setattr(gp, "cho_solve", lambda *a: calls.append(a) or solve(*a))
+        rng = np.random.default_rng(37)
+        grid = rng.uniform(0, 1, size=(60, 2))
+        cache = GridCorrelations(grid, KERNEL)
+        histories = self.histories(rng, 8, 2)[1:]
+        first = [build_posterior(h, KERNEL, "mle", cache).parameters for h in histories]
+        assert len(calls) == 2 * len(histories)
+        calls.clear()
+        again = [build_posterior(h, KERNEL, "mle", cache).parameters for h in histories]
+        assert len(calls) == len(histories) and again == first
+        assert first == [build_posterior(h, KERNEL, "mle").parameters for h in histories]
 
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
         # only the new point's own pivot decides between an append and a bulk factor

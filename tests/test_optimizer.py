@@ -23,6 +23,8 @@ from scaleopt.harness import homogeneity_check
 from scaleopt.objectives import get_objective, sin3x2
 
 KERNEL = CorrelationKernel("exponential", 5.0)
+# A 6-step P run on sin(4e10 x) over [0, 1e-10] at 1001 candidates.
+FINE_GRID_INDICES = [875, 125, 625, 375, 938, 813]
 
 
 class TestCandidateGrid:
@@ -371,6 +373,10 @@ def test_an_estimate_beyond_float64_raises_one_error(algorithm, estimator):
         homogeneity_check(algorithm, spanning, [0.0], [1.0], 2.0, 1.0, **options)
 
 
+def wavy_surface(x):
+    return math.sin(5.0 * x[0]) * math.cos(7.0 * x[1]) + x[0] ** 2
+
+
 class TestVisitedMask:
     """The run's mask is ``history.visited(grid.points)``, the defining rule."""
 
@@ -402,8 +408,7 @@ class TestVisitedMask:
         # off the grid and far from it.
         design = np.array([[0.013, 0.021], [0.987, 0.5], [0.5 + 4e-13, 0.5],
                            [0.3337, 0.777], [0.0, 1.0]])
-        surface = lambda x: math.sin(5.0 * x[0]) * math.cos(7.0 * x[1]) + x[0] ** 2
-        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM, surface,
+        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM, wavy_surface,
                                      [0.0, 0.0], [1.0, 1.0], budget=12,
                                      initial_design=design)
         assert checks == list(range(2, 14))
@@ -417,6 +422,26 @@ class TestVisitedMask:
                                      lambda x: math.sin(3e9 * x), [0.0], [1e-9],
                                      budget=8, grid=grid, initial_design=design)
         assert len(checks) == 8 and checks[1] - checks[0] > 1
+
+    def test_2d_run_on_the_default_grid(self, monkeypatch):
+        # the default design's corners and centre are grid points, and each
+        # step marks its candidate by index alone
+        grid = opt.CandidateGrid.for_region([0.0, 0.0], [1.0, 1.0])
+        assert grid.resolution == 101 and grid.separated
+        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM, wavy_surface,
+                                     [0.0, 0.0], [1.0, 1.0], budget=12, grid=grid)
+        assert checks == list(range(5, 17))
+
+    def test_grid_finer_than_one_step_per_threshold_uses_the_full_rule(self, monkeypatch):
+        # Steps of 1e-13: a chosen candidate is the same point as its ten
+        # neighbours on either side, so its index alone would leave them unvisited.
+        grid = opt.CandidateGrid([0.0], [1e-10], 1001)
+        assert not grid.separated
+        trace, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM,
+                                         lambda x: math.sin(4e10 * x), [0.0], [1e-10],
+                                         budget=6, grid=grid)
+        assert trace.grid_indices == FINE_GRID_INDICES
+        assert all(later - earlier > 1 for earlier, later in zip(checks, checks[1:]))
 
     def test_zero_spread_fallback_takes_lowest_unvisited_index(self):
         # Grid 0, 0.1, ..., 1: indices 0 and 1 are visited (1 by a point 5e-13
@@ -440,6 +465,65 @@ class TestVisitedMask:
         assert trace.grid_indices == [2, 3, 4, 5, 6, 7, 8]
         assert [r.degenerate_step for r in trace.steps] == [True] * 4 + [False] * 3
         assert [r.criterion is None for r in trace.steps] == [True] * 4 + [False] * 3
+
+
+class TestStepBookkeeping:
+    """A criterion step pays for the model, not for scans of the grid or copies of the history."""
+
+    def test_grid_steps_scan_no_grid_and_copy_no_history(self, monkeypatch):
+        grid = opt.CandidateGrid([0.0, 0.0], [1.0, 1.0], 101)
+        m, stepping, scans, copies = len(grid.points), [], [], []
+        argmax, same_point = opt.argmax_criterion, gp.same_point
+
+        def stepped(*args):
+            stepping.append(True)
+            return argmax(*args)
+
+        def counted_same_point(a, b):
+            if stepping and m in (len(a), len(b)):
+                scans.append((len(a), len(b)))
+            return same_point(a, b)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if stepping:
+                    copies.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(opt, "argmax_criterion", stepped)
+        monkeypatch.setattr(opt, "same_point", counted_same_point)
+        monkeypatch.setattr(gp, "same_point", counted_same_point)
+        for name in ("concatenate", "append", "vstack"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        monkeypatch.setattr(EvaluationHistory, "with_observation", counted(
+            "with_observation", EvaluationHistory.with_observation))
+        trace = opt.run(opt.P_ALGORITHM, wavy_surface, [0.0, 0.0], [1.0, 1.0],
+                        budget=10, grid=grid)
+        assert len(stepping) == len(trace.steps) == 10
+        assert scans == [] and copies == []
+
+    def test_a_run_grows_its_shared_state_once(self, monkeypatch):
+        # A 3-step run leaves room for 8 points.  A 60-step run on the same
+        # grid asks for 65 and grows to that at once, not 8 -> 16 -> 32 -> 64
+        # as its rows come.
+        grid = opt.CandidateGrid([0.0, 0.0], [1.0, 1.0], 101)
+        growths, reserve = [], gp.GridCorrelations.reserve
+
+        def counted(state, capacity):
+            before = len(state._ups)
+            reserve(state, capacity)
+            if len(state._ups) != before:
+                growths.append(len(state._ups))
+
+        monkeypatch.setattr(gp.GridCorrelations, "reserve", counted)
+        short = opt.run(opt.P_ALGORITHM, wavy_surface, [0.0, 0.0], [1.0, 1.0],
+                        budget=3, grid=grid)
+        assert growths == []
+        longer = opt.run(opt.P_ALGORITHM, wavy_surface, [0.0, 0.0], [1.0, 1.0],
+                         budget=60, grid=grid)
+        assert growths == [65]
+        assert longer.grid_indices[:3] == short.grid_indices
 
 
 class TestExactValue:
