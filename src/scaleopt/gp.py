@@ -11,13 +11,32 @@ float64 range raises ``NonFiniteEstimateError``.  What depends on the
 points alone (S's Cholesky factor with S^-1 1 beside it, the grid
 correlations and variances) is kept in a ``GridCorrelations``, which holds
 points, never values.  A call one observation longer adds one row,
-O(n**2 + n*m) on m grid points instead of O(n**2 * m).  A later run on the
-same points replays the L recorded at each length and sums its q again from
-V's rows, keeping only the q's they cannot give back; a history that leaves
-those points rewinds, replaying its own points at those lengths.  Runs from one design size share a state
-(``CandidateGrid.correlations``), so each gets a fresh state's bits.  A
-run's observations live in a ``HistoryBuffer``, whose histories view its
-rows, so a step copies no history.
+O(n**2 + n*m) on m grid points instead of O(n**2 * m): the new row of
+V = L^-1 Upsilon reads every earlier row, so a fresh run still pays O(n*m)
+per observation there.  A later run on the same points replays the L and
+the V rows recorded at each length and sums its q again from V's rows,
+keeping only the q's they cannot give back; a history that leaves those
+points rewinds, replaying its own points at those lengths.  Runs from one
+design size share a state (``CandidateGrid.correlations``), so each gets a
+fresh state's bits.  A run's observations live in a ``HistoryBuffer``,
+whose histories view its rows, so a step copies no history.
+
+The grid means take one of two paths, by the grid's size.  Below
+``SUMMED_MEANS_GRID`` points they are the product mu + w.Upsilon, O(n*m) a
+step; from it on, a run's ``MeanSums`` adds one row a step and the means
+cost O(m).  One step's means, in microseconds, product / sums
+(exponential kernel, one BLAS thread, a shared 2-core x86-64 box):
+
+    m     n = 10        15        25        45        65
+    1,001    3 / 9     4 / 10    6 / 15    9 / 15   12 / 15
+    4,096    9 / 14   12 / 14   19 / 15   32 / 14   58 / 14
+    10,201  22 / 26   30 / 23   55 / 26  156 / 24  225 / 28
+
+The product stays the cheaper on the 1,001-point 1-D grids at every
+length a run reaches, and the sums win on a 101 x 101 grid from n = 15.
+The two paths round differently, and 1-D runs take many steps at mirror
+near-ties that a change of rounding can flip, so the 1-D grids keep the
+product and its bits.
 """
 
 from __future__ import annotations
@@ -51,6 +70,10 @@ VARIANCE_CLAMP_TOL = 1e-10
 
 _JITTER_START = 1e-12
 _JITTER_MAX = 1e-6
+
+# On a state's grid of this many points or more, the grid means come from a
+# run's ``MeanSums``, O(m) a step, instead of the O(n*m) product w.Upsilon.
+SUMMED_MEANS_GRID = 4096
 
 # An appended squared pivot 1 + jitter - l.l below 2**-26 (about sqrt(eps))
 # has lost about half its digits to cancellation, which potrf's factor of the
@@ -269,8 +292,10 @@ class GridCorrelations:
     S is factored in bulk instead by a first call, a call that adds several
     points, and a new point whose d**2 falls below ``_PIVOT_FLOOR``.  This is
     the only code that factors S; a posterior without a run's state builds one
-    over no grid points.  ``rows`` records L and the jitter at each length it
-    is called with, so a second run on the same points replays them; a history
+    over no grid points.  ``rows`` records L, the jitter and, on a grid whose
+    means are summed, V's buffer (``whitened``) at each length it is called
+    with, so a second run on the same points replays them, reading the V rows
+    its L was built with; a history
     that leaves those points rewinds, replaying on its own points the recorded
     lengths it shares.  ``ones_solve`` keeps S^-1 1 and 1' S^-1 1 beside each
     recorded L, solved once on it.  The bits depend on the lengths asked for
@@ -320,8 +345,14 @@ class GridCorrelations:
                 for k in lengths:
                     self._advance(points[:k])
             self._advance(points)
-        lower, jitter = self._states[n]
+        lower, jitter, _ = self._states[n]
         return self._ups[:n], lower, self._q_at(n), jitter
+
+    def whitened(self, n: int) -> Optional[np.ndarray]:
+        """The V buffer recorded with length n: its first n rows are L^-1 Upsilon
+        for that length's L, and are never written again.  None on a grid
+        below ``SUMMED_MEANS_GRID`` points, whose means do not read it."""
+        return self._states[n][2]
 
     def ones_solve(self, n: int):
         """(S^-1 1, 1' S^-1 1) at recorded length n, from one ``cho_solve`` on its L."""
@@ -342,8 +373,10 @@ class GridCorrelations:
             self._kept_q = {j: self._q_at(j) for j in self._states}  # before V is replaced
             self._refactor(points)
         self._seen = points.copy()
-        # L in column order, which LAPACK reads as it is: a view would be copied per solve
-        self._states[n] = (np.asfortranarray(self._lower[:n, :n]), self._jitter)
+        # L in column order, which LAPACK reads as it is: a view would be copied per solve.
+        # V's buffer only where the means read it: a bulk factor would leave it alive.
+        v = self._v if len(self.points) >= SUMMED_MEANS_GRID else None
+        self._states[n] = (np.asfortranarray(self._lower[:n, :n]), self._jitter, v)
 
     def _append(self, points: np.ndarray) -> bool:
         """Append the last point's row of L, V and q; False if its pivot is below the floor."""
@@ -403,6 +436,45 @@ def _whitened(lower: np.ndarray, ups: np.ndarray):
     """V = L^-1 Upsilon and q, the column sums of V**2, in bulk."""
     v = _solve_lower(lower, ups)
     return v, np.einsum("im,im->m", v, v)
+
+
+class MeanSums:
+    """A run's sums for its grid means, grown by one row per observation.
+
+    With L and V = L^-1 Upsilon from a ``GridCorrelations``, the means
+    mu + w.Upsilon are mu + Gy - mu*G1, where Gy and G1 sum the rows
+    z_i*V_i and u_i*V_i of z = L^-1 y and u = L^-1 1 (the whitened mean of
+    Rasmussen & Williams, 2006, Alg. 2.1).  L is lower triangular, so a new
+    observation adds one entry to z and u, by forward substitution on L's
+    new row, and one row to each sum: O(m) a step.  The sums go on from the
+    rows summed before while V's buffer (``GridCorrelations.whitened``) and
+    the values summed are the same, and start again from row 0 otherwise,
+    by the same rule for each entry and row, so the bits never depend on
+    which.
+    """
+
+    def __init__(self):
+        self._v, self._y = None, np.empty(0)  # the V buffer and the values summed
+
+    def means(self, lower: np.ndarray, v: np.ndarray, y: np.ndarray, mu: float) -> np.ndarray:
+        """mu + Gy - mu*G1 for the values y, with L's first len(y) rows and V's."""
+        n, k = len(y), len(self._y)
+        if v is not self._v or k > n or self._y.tobytes() != y[:k].tobytes():
+            k, self._v = 0, v
+            self._z, self._u = np.empty(len(v)), np.empty(len(v))
+            self._gy, self._g1 = np.zeros(v.shape[1]), np.zeros(v.shape[1])
+        z, u = self._z, self._u
+        for i in range(k, n):
+            row, d = np.array(lower[i, :i]), lower[i, i]  # contiguous in any L's order
+            z[i] = (y[i] - row @ z[:i]) / d
+            u[i] = (1.0 - row @ u[:i]) / d
+            self._gy += z[i] * v[i]
+            self._g1 += u[i] * v[i]
+        self._y = y.copy()
+        means = self._g1 * mu
+        np.subtract(self._gy, means, out=means)
+        means += mu
+        return means
 
 
 # LAPACK is called without SciPy's per-call wrappers, exactly as they call it
@@ -478,14 +550,17 @@ class SurrogatePosterior:
     The ``mle`` estimates are the generalized-least-squares mean
     (1' S^-1 y) / (1' S^-1 1), with S^-1 1 from the state's ``ones_solve``,
     and the averaged quadratic form of the residual weights S^-1 (y - mu),
-    which the means use too; ``sample``
-    uses ``estimate_sample``.  The raw conditional variance is 1 - q, with
-    q the column sums of (L^-1 Upsilon)**2.  Immutable after construction;
-    moment queries are read-only.
+    which the product means use too; ``sample`` uses ``estimate_sample``.
+    On a large grid the means come from the run's ``mean_sums``, or else
+    from a ``MeanSums`` of its own, which sums from row 0 to the same bits.
+    The raw conditional variance is 1 - q, with q the column sums of
+    (L^-1 Upsilon)**2.  Immutable after construction; a moment query
+    changes nothing but the sums it goes on from.
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
-                 estimator: str, grid_correlations: Optional[GridCorrelations] = None):
+                 estimator: str, grid_correlations: Optional[GridCorrelations] = None,
+                 mean_sums: Optional[MeanSums] = None):
         if estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator tag {estimator!r}")
         self.history = history
@@ -495,6 +570,8 @@ class SurrogatePosterior:
             raise ValueError("grid correlations were built under another kernel")
         self._grid = state.points
         self._grid_ups, self._factor, self._grid_q, self.jitter = state.rows(history)
+        self._whitened = state.whitened(history.n)
+        self._sums = mean_sums or MeanSums()
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
@@ -520,18 +597,25 @@ class SurrogatePosterior:
         """Vectorized conditional moments for an (m, d) array of query points.
 
         Returns (means, variances, clamped_mask) as arrays of length m.
-        Upsilon and q come from ``grid_correlations`` if ``points`` is its grid.
+        Upsilon and q come from ``grid_correlations`` if ``points`` is its grid;
+        on a grid of ``SUMMED_MEANS_GRID`` points or more, so do the means,
+        from the ``MeanSums``.
         """
-        if points is self._grid:
+        on_grid = points is self._grid
+        if on_grid:
             ups, q = self._grid_ups, self._grid_q
         else:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
             _, q = _whitened(self._factor, ups)
-        # In place; IEEE + and * commute, so these are mu + w.Upsilon and
-        # sigma2 * clip(1 - q, 0, 1) bit for bit.
-        means = self._resid_weights @ ups
-        means += self.parameters.mu
+        if on_grid and len(points) >= SUMMED_MEANS_GRID:
+            means = self._sums.means(self._factor, self._whitened, self.history.values,
+                                     self.parameters.mu)
+        else:
+            # In place; IEEE + and * commute, so these are mu + w.Upsilon and
+            # sigma2 * clip(1 - q, 0, 1) bit for bit.
+            means = self._resid_weights @ ups
+            means += self.parameters.mu
         variances = 1.0 - q
         clamped = variances < -VARIANCE_CLAMP_TOL
         np.clip(variances, 0.0, 1.0, out=variances)
@@ -541,6 +625,7 @@ class SurrogatePosterior:
 
 def build_posterior(history: EvaluationHistory, kernel: CorrelationKernel,
                     estimator: str = DEFAULT_ESTIMATOR,
-                    grid_correlations: Optional[GridCorrelations] = None) -> SurrogatePosterior:
+                    grid_correlations: Optional[GridCorrelations] = None,
+                    mean_sums: Optional[MeanSums] = None) -> SurrogatePosterior:
     """Estimate parameters and construct the posterior in one step."""
-    return SurrogatePosterior(history, kernel, estimator, grid_correlations)
+    return SurrogatePosterior(history, kernel, estimator, grid_correlations, mean_sums)

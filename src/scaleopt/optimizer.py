@@ -9,7 +9,8 @@ the O(m*d) ``same_point`` mask on m grid points otherwise), and its
 observations in a ``gp.HistoryBuffer``, so a step copies no history.  The
 model's point-only state (``gp.GridCorrelations``: the grid correlations,
 the Cholesky factor and the grid variances) grows by one observation at
-O(n**2 + n*m); the grid hands out one per kernel and design size
+O(n**2 + n*m), and on a large grid the run's ``gp.MeanSums`` grows its
+means by one O(m) row; the grid hands out one state per kernel and design size
 (``CandidateGrid.correlations``), and ``CandidateGrid.for_region`` interns
 its last grid, so a run on points another run has seen replays what that
 run computed, bit for bit.
@@ -52,6 +53,7 @@ from .gp import (
     EvaluationHistory,
     GridCorrelations,
     HistoryBuffer,
+    MeanSums,
     SurrogatePosterior,
     build_posterior,
     check_inside,
@@ -360,6 +362,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     normalize = AffineNormalization()
     best = math.inf
     correlations = grid.correlations(kernel, design.n, design.n + budget)
+    mean_sums = MeanSums()
 
     def observe(point):
         nonlocal best
@@ -382,7 +385,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
 
     for it in range(1, budget + 1):
         history = observed.history
-        posterior = build_posterior(history, kernel, estimator, correlations)
+        posterior = build_posterior(history, kernel, estimator, correlations, mean_sums)
         params = posterior.parameters
         mu = normalize.restore(params.mu, shifted=True)
         sigma2 = normalize.restore(params.sigma2, power=2)

@@ -15,6 +15,11 @@ largest relative float change.
 The 2-D runs (``run_2d_*.csv``) pin a P and an EI run of budget 30 on the
 default 101 x 101 grid over [0, 1]^2, on a seeded surface defined here.
 
+``run_1d_decisions.json`` pins the grid indices of the 24 budget-25 runs on
+the default 1001-point grids: both kernel families, P and EI, both
+estimators and the three built-in objectives.  A rewrite treats them as
+grid cells, so no 1-D choice may move.
+
 The DIRECT runs (``direct_<objective>_trace.csv``) pin ``run_direct``'s
 trace on ``rastrigin1d`` at budget 24 (1,673 intervals) and on ``sin3x2`` at
 budget 40 (387 intervals), each over its default region.
@@ -33,6 +38,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -41,9 +47,9 @@ import pytest
 
 import numpy as np
 
-from scaleopt import cli, direct1d, optimizer
+from scaleopt import cli, direct1d, gp, optimizer
 from scaleopt.grossone import scaled_criterion_run
-from scaleopt.objectives import get_objective, gramacy_lee, sin3x2
+from scaleopt.objectives import BUILTIN_OBJECTIVES, get_objective, gramacy_lee, sin3x2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,6 +104,22 @@ def _run_2d_case(algorithm):
     return produce
 
 
+def _decisions_1d():
+    # one line per run: "kernel/algorithm/estimator/objective": its grid indices
+    lines = []
+    for family in gp.KERNEL_FAMILIES:
+        for algorithm in (optimizer.P_ALGORITHM, optimizer.ONE_STEP_BAYES):
+            for estimator in gp.ESTIMATORS:
+                for name in sorted(BUILTIN_OBJECTIVES):
+                    objective, (lower, upper) = get_objective(name)
+                    trace = optimizer.run(algorithm, objective, [lower], [upper], budget=25,
+                                          kernel=gp.CorrelationKernel(family),
+                                          estimator=estimator)
+                    key = f"{family}/{algorithm}/{estimator}/{name}"
+                    lines.append(f"  {json.dumps(key)}: {json.dumps(trace.grid_indices)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def _direct_run_case(name, budget):
     # run_direct on a built-in objective over its default region
     def produce():
@@ -146,6 +168,7 @@ CASES = {
     **{f"run_{alg}_{est}{suffix}": _run_case(alg, est, suffix)
        for alg in ("p", "ei") for est in ("mle", "sample")
        for suffix in (".csv", ".json")},
+    "run_1d_decisions.json": _decisions_1d,
     "run_2d_p.csv": _run_2d_case(optimizer.P_ALGORITHM),
     "run_2d_ei.csv": _run_2d_case(optimizer.ONE_STEP_BAYES),
     "scaled_run_p.csv": _scaled_run_case(optimizer.P_ALGORITHM),
@@ -179,7 +202,8 @@ EXACT_COLUMNS = {"iter", "grid_index", "x0", "x1", "header", "algorithm", "case"
 
 
 def _cells(text):
-    """(column, cell) pairs of a trace CSV, a trace JSON or ``numeral_runs.json``."""
+    """(column, cell) pairs of a trace CSV, a trace JSON, ``numeral_runs.json``
+    or a JSON of grid indices by case."""
     if not text.startswith("{"):
         header, *rows = csv.reader(io.StringIO(text))
         return [("header", ",".join(header))] + [
@@ -190,6 +214,9 @@ def _cells(text):
             (key, repr(value)) for rec in data["records"] for key, value in rec.items()]
     out = []
     for case, run in data.items():
+        if isinstance(run, list):  # grid indices
+            out += [("case", case)] + [("grid_index", repr(i)) for i in run]
+            continue
         out += [("case", case)] + _cells(run["trace"])
         out += [("certificate", cell) for cell in run["max_relative_deviation"]]
     return out
@@ -240,6 +267,10 @@ def test_rewrite_moves_float_cells_only():
             largest_float_change("run_p_mle.csv", text, _edit(text, 6, column, "7"))
     with pytest.raises(ValueError):
         largest_float_change("direct_demo_trace.csv", text, moved)
+    decisions = (GOLDEN / "run_1d_decisions.json").read_text()
+    step = re.sub(r"\[(\d+)", lambda m: f"[{int(m.group(1)) + 1}", decisions, count=1)
+    with pytest.raises(ValueError, match="grid_index"):
+        largest_float_change("run_1d_decisions.json", decisions, step)
 
 
 if __name__ == "__main__":

@@ -438,16 +438,18 @@ class TestGridCorrelations:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
     def test_moments_identical_with_and_without_cache(self, kernel, estimator):
-        # the cached side is an appended factor, the plain side potrf's
-        rng = np.random.default_rng(5)
-        grid = rng.uniform(0, 1, size=(400, 2))
-        cache = GridCorrelations(grid, kernel)
-        for history in self.histories(rng, 10, 2)[1:]:
-            cached = build_posterior(history, kernel, estimator, cache).moments_grid(grid)
-            plain = build_posterior(history, kernel, estimator).moments_grid(grid)
-            np.testing.assert_allclose(cached[0], plain[0], rtol=1e-10, atol=0)
-            np.testing.assert_allclose(cached[1], plain[1], rtol=1e-10, atol=0)
-            assert np.array_equal(cached[2], plain[2])
+        # the cached side is an appended factor, the plain side potrf's; on
+        # SUMMED_MEANS_GRID points the cached means are summed
+        for m in (400, gp.SUMMED_MEANS_GRID):
+            rng = np.random.default_rng(5)
+            grid = rng.uniform(0, 1, size=(m, 2))
+            cache = GridCorrelations(grid, kernel)
+            for history in self.histories(rng, 10, 2)[1:]:
+                cached = build_posterior(history, kernel, estimator, cache).moments_grid(grid)
+                plain = build_posterior(history, kernel, estimator).moments_grid(grid)
+                np.testing.assert_allclose(cached[0], plain[0], rtol=1e-10, atol=0)
+                np.testing.assert_allclose(cached[1], plain[1], rtol=1e-10, atol=0)
+                assert np.array_equal(cached[2], plain[2])
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
@@ -634,3 +636,101 @@ class TestGridCorrelations:
         monkeypatch.setattr(gp, "_solve_lower", lambda *a: pytest.fail("solved"))
         assert [self.state_bytes(cache, history) for history in histories] == first
         assert any(state[3] > 0 for state in first)  # some states carry jitter
+
+
+class TestMeanSums:
+    """On a grid of ``SUMMED_MEANS_GRID`` points or more a posterior sums its
+    means from V's rows, one row per observation; every entry point gives the
+    same bytes, and the means agree with the product w.Upsilon."""
+
+    KERNELS = TestGridCorrelations.KERNELS
+
+    @staticmethod
+    def lattice():
+        axis = np.linspace(0, 1, 65)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        assert len(grid) >= gp.SUMMED_MEANS_GRID
+        return grid
+
+    @staticmethod
+    def run_histories(points, values, start=5):
+        """One run's histories from ``start`` points on, viewed from its buffer."""
+        design = EvaluationHistory([0.0, 0.0], [1.0, 1.0], points[:start], values[:start])
+        buffer = gp.HistoryBuffer(design, len(points))
+        return [buffer.history] + [buffer.append(p, v)
+                                   for p, v in zip(points[start:], values[start:])]
+
+    @staticmethod
+    def moments_bytes(posterior, grid):
+        return [a.tobytes() for a in posterior.moments_grid(grid)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    def test_summed_means_agree_with_the_product(self, monkeypatch, kernel, estimator):
+        # the same posterior on both paths: variances and clamped are the state's
+        grid = self.lattice()
+        state, sums = GridCorrelations(grid, kernel), gp.MeanSums()
+        for history in self.run_histories(*oracles.random_history(np.random.default_rng(41), 14, 2)):
+            posterior = build_posterior(history, kernel, estimator, state, sums)
+            summed = posterior.moments_grid(grid)
+            with monkeypatch.context() as patched:
+                patched.setattr(gp, "SUMMED_MEANS_GRID", len(grid) + 1)
+                product = posterior.moments_grid(grid)
+            # values lie in [-1, 1]: a mean near 0 is held to their scale
+            np.testing.assert_allclose(summed[0], product[0], rtol=1e-10, atol=1e-12)
+            assert summed[1].tobytes() == product[1].tobytes()
+            assert summed[2].tobytes() == product[2].tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
+    @pytest.mark.parametrize("estimator", ["mle", "sample"])
+    def test_kept_sums_equal_sums_from_scratch(self, kernel, estimator):
+        # a run's sums, kept across its buffer's histories, against a posterior
+        # on a plain history with the same points, which sums from row 0
+        grid = self.lattice()
+        state, sums = GridCorrelations(grid, kernel), gp.MeanSums()
+        for history in self.run_histories(*oracles.random_history(np.random.default_rng(43), 14, 2)):
+            kept = build_posterior(history, kernel, estimator, state, sums)
+            plain = EvaluationHistory(history.lower, history.upper, history.points.copy(),
+                                      history.values.copy())
+            scratch = build_posterior(plain, kernel, estimator, state)
+            assert self.moments_bytes(kept, grid) == self.moments_bytes(scratch, grid)
+        # other values on the same points start the kept sums again
+        other = EvaluationHistory(plain.lower, plain.upper, plain.points, -plain.values)
+        assert (self.moments_bytes(build_posterior(other, kernel, estimator, state, sums), grid)
+                == self.moments_bytes(build_posterior(other, kernel, estimator, state), grid))
+
+    def test_grid_below_the_size_rule_records_no_v(self):
+        # its means are the product, so no bulk factor leaves a V buffer alive
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        cache = GridCorrelations(np.linspace(0, 1, 1001)[:, None], kernel)
+        points = np.array(TestGridCorrelations.POOL)
+        lengths = range(2, len(points) + 1)
+        for n in lengths:
+            cache.rows(history_1d(points[:n], np.zeros(n)))
+        assert [cache.whitened(n) for n in lengths] == [None] * len(lengths)
+
+    def test_replayed_state_gives_a_fresh_state_bytes(self):
+        # a near-duplicate point makes the squared-exponential state factor in
+        # bulk at length 10; a replay of the lengths before reads the V rows
+        # their L was built with, also after the state grows by reserve
+        kernel = CorrelationKernel("squared-exponential", 5.0)
+        grid = self.lattice()
+        points, values = oracles.random_history(np.random.default_rng(47), 14, 2)
+        points[9] = points[3] + [1e-9, 0.0]
+        shared = GridCorrelations(grid, kernel, 12)
+        histories = self.run_histories(points, values)
+
+        def run(state, lengths):
+            sums = gp.MeanSums()
+            posteriors = [build_posterior(h, kernel, "mle", state, sums)
+                          for h in histories if h.n in lengths]
+            return [[p.jitter] + self.moments_bytes(p, grid) for p in posteriors]
+
+        first = run(shared, range(5, 13))
+        assert first[4][0] == 0 and first[5][0] > 0  # jitter from the bulk factor at 10
+        assert run(shared, range(5, 13)) == first
+        shared.reserve(40)
+        assert run(shared, range(5, 13)) == first
+        fresh = GridCorrelations(grid, kernel)
+        assert run(fresh, range(5, 15)) == run(shared, range(5, 15))
+        assert run(fresh, range(5, 15))[:8] == first
