@@ -41,7 +41,7 @@ class AspirationLevel:
 def aspiration(history: EvaluationHistory, parameters: ModelParameters,
                epsilon: float) -> AspirationLevel:
     """Aspiration level min_i y_i - epsilon * sigma-hat."""
-    return AspirationLevel(float(history.values.min()) - epsilon * parameters.sigma,
+    return AspirationLevel(float(np.minimum.reduce(history.values)) - epsilon * parameters.sigma,
                            epsilon)
 
 
@@ -56,17 +56,27 @@ def normal_pdf(t):
 
 
 def ei_closed_form(m, s, y_on):
-    """Vectorized closed-form EI for given posterior moments.
+    """Vectorized closed-form EI for given posterior moments, one in-place pass per operation.
 
     Entries with s == 0 get the deterministic limit max(y_on - m, 0), and
-    those whose u overflows to -inf the limit 0.
+    those whose u overflows to -inf the limit 0; float inputs give a 0-d array.
     """
-    m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
+    shape = np.broadcast(m, s, y_on).shape
+    gain, u, ei, pdf = np.empty(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
     with np.errstate(all="ignore"):
-        u = np.where(s > 0, (y_on - m) / np.where(s > 0, s, 1.0), 0.0)
-        ei = np.where(u > -np.inf, s * (u * normal_cdf(u) + normal_pdf(u)), 0.0)
-    return np.where(s > 0, ei, np.maximum(y_on - m, 0.0))
+        positive = s > 0
+        np.divide(np.subtract(y_on, m, out=gain), s, out=u, where=positive)  # else u = 0
+        erfc(np.divide(u, -_SQRT2, out=ei), out=ei)  # normal_cdf: erfc(-u / sqrt 2), -u exact
+        ei *= 0.5
+        np.exp(np.multiply(np.multiply(u, -0.5, out=pdf), u, out=pdf), out=pdf)  # (-0.5*u)*u
+        pdf *= _INV_SQRT_2PI
+        ei *= u
+        ei += pdf
+        ei *= s
+        np.copyto(ei, 0.0, where=~(u > -np.inf))
+        np.maximum(gain, 0.0, out=ei, where=~positive)
+    return ei
 
 
 def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLevel,

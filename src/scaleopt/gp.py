@@ -19,7 +19,8 @@ keeping only the q's they cannot give back; a history that leaves those
 points rewinds, replaying its own points at those lengths.  Runs from one
 design size share a state (``CandidateGrid.correlations``), so each gets a
 fresh state's bits.  A run's observations live in a ``HistoryBuffer``,
-whose histories view its rows, so a step copies no history.
+whose histories view its rows, so a step copies no history; past the product
+a 1-D step pays only scipy's ``erfc``, and a fresh 2-D run each V row's ``l.V``.
 
 The grid means take one of two paths, by the grid's size.  Below
 ``SUMMED_MEANS_GRID`` points they are the product mu + w.Upsilon, O(n*m) a
@@ -157,8 +158,8 @@ class HistoryBuffer:
 def _checked_observation(history: EvaluationHistory, point, value):
     """The new point (d,) and value as a float, checked by the history's rules:
     finite, inside the region and not the same point as any history point.
-    Only the new point is tested, in O(n*d), with the messages of a full check."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
+    Only the new point is tested, in O(n*d), read as floats once, with a full check's messages."""
+    point = np.array(point, dtype=float, ndmin=1)
     value = float(value)
     if point.shape != history.lower.shape:
         raise ValueError("points must have shape (n, d)")
@@ -168,9 +169,10 @@ def _checked_observation(history: EvaluationHistory, point, value):
     if any(x < lo - 1e-12 or x > hi + 1e-12
            for x, lo, hi in zip(coords, history.lower.tolist(), history.upper.tolist())):
         raise ValueError("points must lie inside the region")
-    same = same_point(history.points, point[None, :])
-    if same.any():
-        raise _duplicates(int(np.argmax(same)), history.n)
+    same = same_point(history.points, point[None, :])[:, 0]
+    first = same.argmax()
+    if same[first]:
+        raise _duplicates(int(first), history.n)
     return point, value
 
 
@@ -419,8 +421,10 @@ def _plus_square(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _shared_prefix(a: np.ndarray, b: np.ndarray) -> int:
-    """How many leading rows of a and b are equal."""
+    """How many leading rows of a and b are equal (by bytes, else -0.0 is 0.0)."""
     k = min(len(a), len(b))
+    if a[:k].tobytes() == b[:k].tobytes():
+        return k
     differ = np.flatnonzero((a[:k] != b[:k]).any(axis=1))
     return int(differ[0]) if differ.size else k
 
@@ -506,12 +510,14 @@ def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def estimate_sample(history: EvaluationHistory) -> ModelParameters:
-    """Plain sample mean and unbiased sample variance of the observed values."""
-    y = history.values
-    if y.size < 2:
+    """Sample mean and unbiased variance of the values, as ``np.mean`` and ``np.var`` sum them."""
+    y, n = history.values, history.n
+    if n < 2:
         raise InsufficientDataError("sample variance needs at least two observations")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
-        mu, sigma2 = float(y.mean()), float(y.var(ddof=1))
+        mu = float(np.add.reduce(y)) / n
+        deviations = np.subtract(y, mu)
+        sigma2 = float(np.add.reduce(np.square(deviations, out=deviations))) / (n - 1)
     return ModelParameters(_finite("sample", "mu", mu), _finite("sample", "sigma2", sigma2))
 
 
@@ -550,12 +556,12 @@ class SurrogatePosterior:
     The ``mle`` estimates are the generalized-least-squares mean
     (1' S^-1 y) / (1' S^-1 1), with S^-1 1 from the state's ``ones_solve``,
     and the averaged quadratic form of the residual weights S^-1 (y - mu),
-    which the product means use too; ``sample`` uses ``estimate_sample``.
+    which product means use too; ``sample`` uses ``estimate_sample``, solving w only for them.
     On a large grid the means come from the run's ``mean_sums``, or else
     from a ``MeanSums`` of its own, which sums from row 0 to the same bits.
     The raw conditional variance is 1 - q, with q the column sums of
     (L^-1 Upsilon)**2.  Immutable after construction; a moment query
-    changes nothing but the sums it goes on from.
+    changes nothing but the sums it goes on from and those weights.
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
@@ -566,7 +572,7 @@ class SurrogatePosterior:
         self.history = history
         self.kernel = kernel
         state = grid_correlations or GridCorrelations(history.points[:0], kernel)
-        if state.kernel != kernel:
+        if state.kernel is not kernel and state.kernel != kernel:
             raise ValueError("grid correlations were built under another kernel")
         self._grid = state.points
         self._grid_ups, self._factor, self._grid_q, self.jitter = state.rows(history)
@@ -575,7 +581,7 @@ class SurrogatePosterior:
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
-            self._resid_weights = cho_solve(self._factor, y - self.parameters.mu)
+            self._resid_weights = None  # solved by the first product means, which read it
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
                 s_inv_ones, ones_norm = state.ones_solve(history.n)
@@ -612,13 +618,15 @@ class SurrogatePosterior:
             means = self._sums.means(self._factor, self._whitened, self.history.values,
                                      self.parameters.mu)
         else:
-            # In place; IEEE + and * commute, so these are mu + w.Upsilon and
-            # sigma2 * clip(1 - q, 0, 1) bit for bit.
+            if self._resid_weights is None:  # a sample posterior's, solved where read
+                self._resid_weights = cho_solve(self._factor, self.history.values - self.parameters.mu)
+            # In place; IEEE + and * commute, and 1 - q is at most 1 and never -0.0,
+            # so these are mu + w.Upsilon and sigma2 * clip(1 - q, 0, 1) bit for bit.
             means = self._resid_weights @ ups
             means += self.parameters.mu
         variances = 1.0 - q
         clamped = variances < -VARIANCE_CLAMP_TOL
-        np.clip(variances, 0.0, 1.0, out=variances)
+        np.maximum(variances, 0.0, out=variances)
         variances *= self.parameters.sigma2
         return means, variances, clamped
 

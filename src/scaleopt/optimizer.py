@@ -159,7 +159,7 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
     """
     points = grid.points
     values, degenerate = acq.criterion_grid(kind, posterior, asp, points)
-    return select_best(values, ~visited & ~degenerate, points)
+    return _select_excluding(values, np.logical_or(degenerate, visited, out=degenerate), points)
 
 
 def select_best(values: np.ndarray, eligible: np.ndarray,
@@ -167,13 +167,17 @@ def select_best(values: np.ndarray, eligible: np.ndarray,
     """The eligible candidate with the largest value, lowest index on exact ties.
 
     It ranks ``values`` in place: each ineligible entry becomes -inf."""
-    np.copyto(values, -np.inf, where=~eligible)
-    idx = int(np.argmax(values))  # first occurrence = lowest index
-    if not eligible[idx]:  # no eligible candidate, or every eligible value is -inf
-        if not eligible.any():
+    return _select_excluding(values, ~eligible, points)
+
+
+def _select_excluding(values: np.ndarray, excluded: np.ndarray, points: np.ndarray) -> Selection:
+    np.copyto(values, -np.inf, where=excluded)
+    idx = int(values.argmax())  # first occurrence = lowest index
+    if excluded[idx]:  # no eligible candidate, or every eligible value is -inf
+        if excluded.all():
             raise AllCandidatesDegenerateError(
                 "no non-degenerate unvisited candidate on the grid")
-        idx = int(np.argmax(eligible))
+        idx = int(excluded.argmin())
     return Selection(points[idx], idx, float(values[idx]))
 
 
@@ -298,6 +302,14 @@ class AffineNormalization:
             self.scale = diff if diff > 0 else -diff
         return diff if self.scale is None else diff / self.scale
 
+    def rounded(self, y: Fraction) -> float:
+        """``float(self(y))`` for a Fraction y: once s exists, one correctly rounded int / int."""
+        if self.scale is None:
+            return float(self(y))
+        a, s = self.anchor, self.scale
+        return (((y.numerator * a.denominator - a.numerator * y.denominator) * s.denominator)
+                / (y.denominator * a.denominator * s.numerator))
+
     def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
         """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
 
@@ -369,7 +381,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         value = exact_value(objective(point if point.size > 1 else point[0]), point)
         best = min(best, value)
         try:
-            h = float(normalize(value))
+            h = normalize.rounded(value)
         except OverflowError:  # |y - y_0|/s beyond float64 range
             raise ObjectiveEvaluationError(point, float(value)) from None
         return h, float(value), float(best)
@@ -392,7 +404,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         zero_spread = normalize.scale is None  # no two values differ yet
         if zero_spread:
             # Criterion undefined everywhere: take the lowest unvisited index.
-            sel = select_best(np.zeros(len(points)), ~visited, points)
+            sel = _select_excluding(np.zeros(len(points)), visited, points)
             criterion = y_on = None
         else:
             asp = acq.aspiration(history, params, epsilon)
