@@ -45,14 +45,16 @@ def aspiration(history: EvaluationHistory, parameters: ModelParameters,
                            epsilon)
 
 
-def normal_cdf(t):
-    """Standard normal cumulative distribution function."""
-    return 0.5 * erfc(-np.asarray(t, dtype=float) / _SQRT2)
+def normal_cdf(t, out=None):
+    """Standard normal cumulative distribution function, into ``out`` if given."""
+    cdf = erfc(np.divide(t, -_SQRT2, out=out), out=out)  # erfc(-t / sqrt 2): -t is exact
+    return np.multiply(cdf, 0.5, out=out)
 
 
-def normal_pdf(t):
-    t = np.asarray(t, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * t * t)
+def normal_pdf(t, out=None):
+    """Standard normal density exp((-0.5 * t) * t) / sqrt(2 pi), into ``out`` if given."""
+    pdf = np.exp(np.multiply(np.multiply(t, -0.5, out=out), t, out=out), out=out)
+    return np.multiply(pdf, _INV_SQRT_2PI, out=out)
 
 
 def ei_closed_form(m, s, y_on):
@@ -67,13 +69,9 @@ def ei_closed_form(m, s, y_on):
     with np.errstate(all="ignore"):
         positive = s > 0
         np.divide(np.subtract(y_on, m, out=gain), s, out=u, where=positive)  # else u = 0
-        erfc(np.divide(u, -_SQRT2, out=ei), out=ei)  # normal_cdf: erfc(-u / sqrt 2), -u exact
-        ei *= 0.5
-        np.exp(np.multiply(np.multiply(u, -0.5, out=pdf), u, out=pdf), out=pdf)  # (-0.5*u)*u
-        pdf *= _INV_SQRT_2PI
-        ei *= u
-        ei += pdf
-        ei *= s
+        normal_cdf(u, out=ei)
+        normal_pdf(u, out=pdf)
+        np.multiply(np.add(np.multiply(ei, u, out=ei), pdf, out=ei), s, out=ei)  # s*(u*cdf + pdf)
         np.copyto(ei, 0.0, where=~(u > -np.inf))
         np.maximum(gain, 0.0, out=ei, where=~positive)
     return ei

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -581,7 +582,6 @@ class SurrogatePosterior:
         y = history.values
         if estimator == "sample":
             self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
-            self._resid_weights = None  # solved by the first product means, which read it
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
                 s_inv_ones, ones_norm = state.ones_solve(history.n)
@@ -593,6 +593,10 @@ class SurrogatePosterior:
                 self._resid_weights = cho_solve(self._factor, resid)
                 sigma2 = _finite("mle", "sigma2", float(resid @ self._resid_weights) / y.size)
             self.parameters = ModelParameters(mu, max(sigma2, 0.0))
+
+    @cached_property  # a sample posterior's S^-1 (y - mu), solved where product means first read it
+    def _resid_weights(self) -> np.ndarray:
+        return cho_solve(self._factor, self.history.values - self.parameters.mu)
 
     def conditional_moments(self, x) -> Moments:
         """Conditional mean and variance of the model at x."""
@@ -618,8 +622,6 @@ class SurrogatePosterior:
             means = self._sums.means(self._factor, self._whitened, self.history.values,
                                      self.parameters.mu)
         else:
-            if self._resid_weights is None:  # a sample posterior's, solved where read
-                self._resid_weights = cho_solve(self._factor, self.history.values - self.parameters.mu)
             # In place; IEEE + and * commute, and 1 - q is at most 1 and never -0.0,
             # so these are mu + w.Upsilon and sigma2 * clip(1 - q, 0, 1) bit for bit.
             means = self._resid_weights @ ups
