@@ -251,14 +251,8 @@ def trisect(interval: Interval, objective: Callable):
 
 
 def _evaluate(objective: Callable, x: float) -> float:
-    """The objective's value at x by ``exact_value``'s rule, as a float.
-
-    A finite ``float`` skips the exact round trip: adding 0.0 reads -0.0 as
-    0.0, as the rule does."""
-    value = objective(x)
-    if type(value) is float and math.isfinite(value):
-        return value + 0.0
-    return float(exact_value(value, x))
+    """The objective's value at x by ``exact_value``'s rule, as a float."""
+    return float(exact_value(objective(x), x))
 
 
 @dataclass

@@ -127,17 +127,15 @@ class EvaluationHistory:
 
     def with_observation(self, point, value) -> "EvaluationHistory":
         """This history and one more observation; only the new point is checked."""
-        point, value = _checked_observation(self, point, value)
-        return _with_rows(self, np.concatenate([self.points, point[None, :]]),
-                          np.append(self.values, value))
+        return HistoryBuffer(self, self.n + 1).append(point, value)
 
 
 class HistoryBuffer:
     """A run's observations, kept in arrays with room for ``capacity`` of them.
 
     ``history`` views the rows observed so far.  ``append`` checks the new
-    point as ``with_observation`` does, writes its row and moves ``history``
-    on, so nothing is concatenated or copied; a row is written once, beyond
+    point by the history's rules, writes its row and moves ``history`` on,
+    so nothing is concatenated or copied; a row is written once, beyond
     every history handed out, so those never change.
     """
 
@@ -307,12 +305,13 @@ class GridCorrelations:
     V's bulk factor are kept, as V's rows cannot give them back; a cursor sums
     the others again from the bulk's q, in the appends' order.  Arrays handed
     out are never written again: later rows go beyond them, and a bulk factor,
-    growing beyond the capacity or a rewind gets new ones.
+    ``reserve`` or a rewind gets new ones.  A state is born with room for no
+    points and grows only by ``reserve``, to exactly the length reserved.
     """
 
-    def __init__(self, points: np.ndarray, kernel: CorrelationKernel, capacity: int = 0):
+    def __init__(self, points: np.ndarray, kernel: CorrelationKernel):
         self.points, self.kernel = points, kernel
-        self._restart(capacity)
+        self._restart(0)
 
     def _restart(self, capacity: int):
         """Empty buffers for ``capacity`` points, and no recorded state."""
@@ -354,7 +353,7 @@ class GridCorrelations:
     def whitened(self, n: int) -> Optional[np.ndarray]:
         """The V buffer recorded with length n: its first n rows are L^-1 Upsilon
         for that length's L, and are never written again.  None on a grid
-        below ``SUMMED_MEANS_GRID`` points, whose means do not read it."""
+        below ``SUMMED_MEANS_GRID`` points, whose means are the product."""
         return self._states[n][2]
 
     def ones_solve(self, n: int):
@@ -369,15 +368,14 @@ class GridCorrelations:
     def _advance(self, points: np.ndarray):
         """Add the (n, d) points beyond those seen to the state, and record length n."""
         n, k = len(points), len(self._seen)
-        if n > len(self._ups):  # doubling keeps the copying O(m) per row
-            self.reserve(max(n, 2 * len(self._ups)))
+        self.reserve(n)
         self._ups[k:n] = self.kernel.of_distance(_cross_distances(points[k:n], self.points))
         if k == 0 or n > k + 1 or not self._append(points):
             self._kept_q = {j: self._q_at(j) for j in self._states}  # before V is replaced
             self._refactor(points)
         self._seen = points.copy()
         # L in column order, which LAPACK reads as it is: a view would be copied per solve.
-        # V's buffer only where the means read it: a bulk factor would leave it alive.
+        # V's buffer only where the means are summed from it: a bulk factor would leave it alive.
         v = self._v if len(self.points) >= SUMMED_MEANS_GRID else None
         self._states[n] = (np.asfortranarray(self._lower[:n, :n]), self._jitter, v)
 
@@ -608,8 +606,8 @@ class SurrogatePosterior:
 
         Returns (means, variances, clamped_mask) as arrays of length m.
         Upsilon and q come from ``grid_correlations`` if ``points`` is its grid;
-        on a grid of ``SUMMED_MEANS_GRID`` points or more, so do the means,
-        from the ``MeanSums``.
+        where that state recorded V (``whitened``), so do the means, from the
+        ``MeanSums``.
         """
         on_grid = points is self._grid
         if on_grid:
@@ -618,7 +616,7 @@ class SurrogatePosterior:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
             _, q = _whitened(self._factor, ups)
-        if on_grid and len(points) >= SUMMED_MEANS_GRID:
+        if on_grid and self._whitened is not None:
             means = self._sums.means(self._factor, self._whitened, self.history.values,
                                      self.parameters.mu)
         else:

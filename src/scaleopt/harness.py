@@ -110,14 +110,15 @@ def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
     criterion on a grid over [0, 1] for the raw values and for the
     affinely related second data set computed exactly as a*f + b, and
     reports the criterion argmax of each by the run's own grid and
-    selection rules (``optimizer.CandidateGrid``, ``optimizer.select_best``).
+    selection rule (``optimizer.CandidateGrid``, ``optimizer.argmax_criterion``).
     """
     points = np.array(obj.FIG1_POINTS)[:, None]
     f_vals = np.array(obj.FIG1_F_VALUES)
     phi_exact = obj.FIG1_A * f_vals + obj.FIG1_B
     printed_dev = float(np.abs(np.array(obj.FIG1_PHI_VALUES) - phi_exact).max())
     kernel = CorrelationKernel(c=obj.FIG1_KERNEL_C)  # the exponential family
-    xs = optimizer.CandidateGrid.for_region([0.0], [1.0], resolution).points
+    grid = optimizer.CandidateGrid.for_region([0.0], [1.0], resolution)
+    xs = grid.points
 
     out = {"x": xs.ravel(), "printed_phi_deviation": printed_dev,
            "a": obj.FIG1_A, "b": obj.FIG1_B}
@@ -126,13 +127,13 @@ def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
         posterior = build_posterior(history, kernel, estimator)
         asp = acq.aspiration(history, posterior.parameters, epsilon)
         means, variances, _ = posterior.moments_grid(xs)
-        crit, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
+        crit, _ = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
         out[f"m_{tag}"] = means
         out[f"s_{tag}"] = np.sqrt(variances)
         out[f"crit_{tag}"] = crit
         out[f"y_on_{tag}"] = asp.y_on
-        out[f"argmax_{tag}"] = optimizer.select_best(
-            crit.copy(), ~history.visited(xs) & ~degenerate, xs).grid_index
+        out[f"argmax_{tag}"] = optimizer.argmax_criterion(
+            acq.P_CRITERION, posterior, asp, grid, history.visited(xs)).grid_index
     return out
 
 

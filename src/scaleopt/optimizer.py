@@ -95,7 +95,8 @@ class CandidateGrid:
         points = np.stack([m.ravel() for m in mesh], axis=1)
         points.flags.writeable = False  # shared by every step and caller
         object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_separated", lattice_separated(axes))
+        # True if no two candidates are the same point: a visit then marks one index.
+        object.__setattr__(self, "separated", lattice_separated(axes))
         object.__setattr__(self, "_correlations", {})
 
     @classmethod
@@ -111,12 +112,6 @@ class CandidateGrid:
         """The (m, d) candidates in lexicographic order, built once, read-only."""
         return self._points
 
-    @property
-    def separated(self) -> bool:
-        """Whether no two candidates count as the same point (``gp.lattice_separated``),
-        so a candidate's visited mask is its own index."""
-        return self._separated
-
     def correlations(self, kernel: CorrelationKernel, design_size: int = 0,
                      capacity: int = 0) -> GridCorrelations:
         """The model's point-only state on these candidates under ``kernel``.
@@ -130,7 +125,7 @@ class CandidateGrid:
         """
         key = (kernel, design_size)
         if key not in self._correlations:
-            self._correlations[key] = GridCorrelations(self.points, kernel, capacity)
+            self._correlations[key] = GridCorrelations(self.points, kernel)
         state = self._correlations[key]
         state.reserve(capacity)
         return state
@@ -162,15 +157,9 @@ def argmax_criterion(kind: str, posterior: SurrogatePosterior,
     return _select_excluding(values, np.logical_or(degenerate, visited, out=degenerate), points)
 
 
-def select_best(values: np.ndarray, eligible: np.ndarray,
-                points: np.ndarray) -> Selection:
-    """The eligible candidate with the largest value, lowest index on exact ties.
-
-    It ranks ``values`` in place: each ineligible entry becomes -inf."""
-    return _select_excluding(values, ~eligible, points)
-
-
 def _select_excluding(values: np.ndarray, excluded: np.ndarray, points: np.ndarray) -> Selection:
+    """The candidate with the largest value that is not ``excluded``, lowest index
+    on exact ties; it ranks ``values`` in place, each excluded entry becoming -inf."""
     np.copyto(values, -np.inf, where=excluded)
     idx = int(values.argmax())  # first occurrence = lowest index
     if excluded[idx]:  # no eligible candidate, or every eligible value is -inf
@@ -259,16 +248,17 @@ def default_initial_design(lower, upper) -> np.ndarray:
     return np.vstack([corners, center[None, :]])
 
 
-def exact_value(value, point) -> Fraction:
-    """An objective value as an exact Fraction: the one rule for reading one.
+def exact_value(value, point):
+    """An objective value, exactly as read: the one rule for reading one.
 
-    ``int`` and ``Fraction`` values are kept exactly, any other value is read
-    through ``float``.  A value that is not finite, or overflows float64,
+    ``int`` and ``Fraction`` values come back as exact ``Fraction``s; any
+    other value is read through ``float`` and comes back as that float, with
+    -0.0 read as 0.0.  A value that is not finite, or overflows float64,
     raises ``ObjectiveEvaluationError``.
     """
     if type(value) is float:  # the common case, without the checks below
         if math.isfinite(value):
-            return Fraction(value)
+            return value + 0.0
         raise ObjectiveEvaluationError(point, value)
     try:
         as_float = float(value)
@@ -278,7 +268,7 @@ def exact_value(value, point) -> Fraction:
         raise ObjectiveEvaluationError(point, value)
     if type(value) is Fraction:  # immutable, so kept as it is
         return value
-    return Fraction(value if isinstance(value, (Fraction, int)) else as_float)
+    return Fraction(value) if isinstance(value, (Fraction, int)) else as_float + 0.0
 
 
 class AffineNormalization:
@@ -302,13 +292,14 @@ class AffineNormalization:
             self.scale = diff if diff > 0 else -diff
         return diff if self.scale is None else diff / self.scale
 
-    def rounded(self, y: Fraction) -> float:
-        """``float(self(y))`` for a Fraction y: once s exists, one correctly rounded int / int."""
+    def rounded(self, y) -> float:
+        """``float(self(Fraction(y)))`` for an exact number y, a float or a Fraction:
+        once s exists, one correctly rounded int / int."""
         if self.scale is None:
-            return float(self(y))
-        a, s = self.anchor, self.scale
-        return (((y.numerator * a.denominator - a.numerator * y.denominator) * s.denominator)
-                / (y.denominator * a.denominator * s.numerator))
+            return float(self(Fraction(y)))
+        (num, den), a, s = y.as_integer_ratio(), self.anchor, self.scale
+        return (((num * a.denominator - a.numerator * den) * s.denominator)
+                / (den * a.denominator * s.numerator))
 
     def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
         """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
@@ -379,12 +370,12 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
     def observe(point):
         nonlocal best
         value = exact_value(objective(point if point.size > 1 else point[0]), point)
-        best = min(best, value)
         try:
             h = normalize.rounded(value)
         except OverflowError:  # |y - y_0|/s beyond float64 range
             raise ObjectiveEvaluationError(point, float(value)) from None
-        return h, float(value), float(best)
+        best = min(best, float(value))  # rounding is monotone: the rounded least value
+        return h, float(value), best
 
     values = []
     for point in design.points:

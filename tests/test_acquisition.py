@@ -93,6 +93,8 @@ class TestPCriterion:
         xs = np.linspace(0, 1, 1001)[:, None]
         known = history.visited(xs)
         assert known.sum() == len(FIG1_POINTS)
+        with pytest.raises(ValueError, match="unknown criterion kind 'pi'"):
+            acq.criterion_grid("pi", posterior, asp, xs)
         for kind in (acq.P_CRITERION, acq.EXPECTED_IMPROVEMENT):
             values, degenerate = acq.criterion_grid(kind, posterior, asp, xs)
             assert not degenerate[~known].any()

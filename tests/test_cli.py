@@ -153,6 +153,12 @@ class TestHomogeneity:
                         "--budget", "2"]) == cli.EXIT_CONFIG
 
 
+def test_unknown_objective_names_the_builtins():
+    # --objective's choices keep the CLI from the lookup; any other caller gets the names
+    with pytest.raises(KeyError, match=re.escape("['gramacy-lee', 'rastrigin1d', 'sin3x2']")):
+        objectives.get_objective("nope")
+
+
 _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 

@@ -327,6 +327,11 @@ class TestCachedPartition:
         p = direct1d.DirectPartition(intervals, 1e-4)
         assert p.intervals == tuple(intervals)
         assert p.deltas.tolist() == [0.5, 0.25] and p.f_min == 1.0
+        # but it holds at least one interval, each with a finite value
+        with pytest.raises(ValueError, match="partition must contain at least one interval"):
+            direct1d.DirectPartition([])
+        with pytest.raises(ValueError, match="midpoint value must be finite"):
+            direct1d.Interval(0.0, 1.0, math.inf)
 
 
 class TestCounterexampleShift:
@@ -418,8 +423,7 @@ def lifted_case(name, lift, factor):
 
 
 class TestEvaluate:
-    """DIRECT reads a value as ``exact_value`` reads it; a finite float skips the
-    exact round trip."""
+    """DIRECT reads a value as ``exact_value`` reads it, as a float."""
 
     @pytest.mark.parametrize("value", [
         -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 0.1,

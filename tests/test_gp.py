@@ -50,6 +50,8 @@ class TestHistory:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             history_1d(np.array([0.1, 0.2]), [1.0])
+        with pytest.raises(ValueError, match="lower/upper must be 1-d arrays of equal length"):
+            EvaluationHistory([0.0], [1.0, 1.0], [[0.1]], [1.0])
 
     @pytest.mark.parametrize("gap, same", [(1e-12, True), (2e-12, False)])
     def test_same_point_threshold(self, gap, same):
@@ -167,6 +169,8 @@ class TestCorrelationMatrix:
         h = history_1d(np.array([0.0, 0.5]), [0.0, 1.0])
         s = correlation_matrix(h.points, kernel)
         assert s[0, 1] == pytest.approx(math.exp(-2.0 * 0.25))
+        with pytest.raises(ValueError, match="unknown kernel family 'gaussian'"):
+            CorrelationKernel("gaussian", 2.0)
 
 
 class TestNonFiniteEstimates:
@@ -667,15 +671,24 @@ class TestMeanSums:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
     def test_summed_means_agree_with_the_product(self, monkeypatch, kernel, estimator):
-        # the same posterior on both paths: variances and clamped are the state's
+        # Each side on its own path: the product side's state is built with the
+        # size rule above the grid, so it records no V and its means are never
+        # summed.  Both states factor the same points alike, so variances and
+        # clamped are the same bytes.
         grid = self.lattice()
-        state, sums = GridCorrelations(grid, kernel), gp.MeanSums()
+        summing, means = [], gp.MeanSums.means
+        monkeypatch.setattr(gp.MeanSums, "means", lambda *a: summing.append(1) or means(*a))
+        summed_state, product_state = GridCorrelations(grid, kernel), GridCorrelations(grid, kernel)
+        sums = gp.MeanSums()
         for history in self.run_histories(*oracles.random_history(np.random.default_rng(41), 14, 2)):
-            posterior = build_posterior(history, kernel, estimator, state, sums)
-            summed = posterior.moments_grid(grid)
+            summing.clear()
+            summed = build_posterior(history, kernel, estimator, summed_state, sums).moments_grid(grid)
+            assert summing == [1] and summed_state.whitened(history.n) is not None
             with monkeypatch.context() as patched:
                 patched.setattr(gp, "SUMMED_MEANS_GRID", len(grid) + 1)
-                product = posterior.moments_grid(grid)
+                posterior = build_posterior(history, kernel, estimator, product_state)
+            product = posterior.moments_grid(grid)
+            assert summing == [1] and product_state.whitened(history.n) is None
             # values lie in [-1, 1]: a mean near 0 is held to their scale
             np.testing.assert_allclose(summed[0], product[0], rtol=1e-10, atol=1e-12)
             assert summed[1].tobytes() == product[1].tobytes()
@@ -717,7 +730,8 @@ class TestMeanSums:
         grid = self.lattice()
         points, values = oracles.random_history(np.random.default_rng(47), 14, 2)
         points[9] = points[3] + [1e-9, 0.0]
-        shared = GridCorrelations(grid, kernel, 12)
+        shared = GridCorrelations(grid, kernel)
+        shared.reserve(12)
         histories = self.run_histories(points, values)
 
         def run(state, lengths):

@@ -150,6 +150,7 @@ values = numerals | finite_reals | finite_reals.map(ExtendedNumeral.from_real)
 
 class TestEqualityAndHash:
     def test_equality_is_exact(self):
+        assert not G == "G" and G != "G"  # text is no numeral until parsed
         assert ExtendedNumeral({1: 1.0 + 2.0 ** -52}) != G
         assert ExtendedNumeral.from_real(2.0 ** 60) != 2 ** 60 + 1
         assert ExtendedNumeral({1: 2.0, 0: 0.5}) == ExtendedNumeral({0: 0.5, 1: 2.0})
@@ -157,6 +158,8 @@ class TestEqualityAndHash:
     def test_finite_numeral_hashes_as_its_real(self):
         assert len({ExtendedNumeral.from_real(1.0), 1, 1.0}) == 1
         assert hash(ExtendedNumeral()) == hash(0)
+        with pytest.raises(AttributeError, match="immutable"):  # so the hash cannot go stale
+            G.terms = {}
 
     @given(x=values, y=values)
     @settings(max_examples=200, deadline=None)
@@ -189,6 +192,8 @@ class TestTextFormat:
     def test_round_trip_from_real(self):
         assert as_numeral(0.1).to_real() == 0.1
         assert parse_numeral(str(as_numeral(-2.75))).to_real() == -2.75
+        with pytest.raises(ValueError, match="has infinite or infinitesimal part"):
+            G.to_real()
 
     def test_rejects_garbage(self):
         # the last three have coefficients beyond float64 range
@@ -196,6 +201,8 @@ class TestTextFormat:
                      "1e308*G + 1e308*G"]:
             with pytest.raises(ValueError):
                 parse_numeral(text)
+        with pytest.raises(TypeError, match="cannot interpret 'x'"):  # arithmetic parses no text
+            G + "x"
 
 
 class TestScaledCriterionRun:

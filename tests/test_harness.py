@@ -21,7 +21,7 @@ VALUE_TYPES = {
 def test_numpy_objective_values(kind, a, b):
     report = homogeneity_check(opt.P_ALGORITHM, VALUE_TYPES[kind], [-1.0], [1.0],
                                a, b, budget=8)
-    assert report.passed and len(report.steps) == 8
+    assert report.passed and len(report.steps) == 8 and report.first_mismatch is None
 
 
 def test_any_divergence_fails():

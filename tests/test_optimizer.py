@@ -131,8 +131,8 @@ class TestArgmax:
         # an aspiration level of -inf ranks every candidate -inf; index 0 is
         # not eligible and must not be chosen
         values = np.array([-np.inf, -np.inf, 5.0, -np.inf])
-        eligible = np.array([False, False, False, True])
-        sel = opt.select_best(values, eligible, np.arange(4.0)[:, None])
+        excluded = np.array([True, True, True, False])
+        sel = opt._select_excluding(values, excluded, np.arange(4.0)[:, None])
         assert sel.grid_index == 3 and sel.value == -np.inf
 
 
@@ -504,9 +504,9 @@ class TestStepBookkeeping:
         assert scans == [] and copies == []
 
     def test_a_run_grows_its_shared_state_once(self, monkeypatch):
-        # A 3-step run leaves room for 8 points.  A 60-step run on the same
-        # grid asks for 65 and grows to that at once, not 8 -> 16 -> 32 -> 64
-        # as its rows come.
+        # The state is born with room for no points.  A 3-step run grows it to
+        # 8 at once; a 60-step run on the same grid asks for 65 and grows to
+        # that at once, not row by row as its rows come.
         grid = opt.CandidateGrid([0.0, 0.0], [1.0, 1.0], 101)
         growths, reserve = [], gp.GridCorrelations.reserve
 
@@ -519,10 +519,10 @@ class TestStepBookkeeping:
         monkeypatch.setattr(gp.GridCorrelations, "reserve", counted)
         short = opt.run(opt.P_ALGORITHM, wavy_surface, [0.0, 0.0], [1.0, 1.0],
                         budget=3, grid=grid)
-        assert growths == []
+        assert growths == [8]
         longer = opt.run(opt.P_ALGORITHM, wavy_surface, [0.0, 0.0], [1.0, 1.0],
                          budget=60, grid=grid)
-        assert growths == [65]
+        assert growths == [8, 65]
         assert longer.grid_indices[:3] == short.grid_indices
 
 
@@ -532,10 +532,14 @@ class TestExactValue:
         assert opt.exact_value(Fraction(1, 3), 0.0) == Fraction(1, 3)
 
     @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(2 ** 60 + 1),
-                                       np.array(0.1), 0.1],
-                             ids=["float32", "int64", "0-d array", "float"])
+                                       np.array(0.1), 0.1, -0.0, np.float64(-0.0)],
+                             ids=["float32", "int64", "0-d array", "float", "minus-zero",
+                                  "np.float64-minus-zero"])
     def test_other_values_read_through_float(self, value):
-        assert opt.exact_value(value, 0.0) == Fraction(float(value))
+        # and kept as that float, -0.0 read as 0.0
+        read = opt.exact_value(value, 0.0)
+        assert type(read) is float and read == Fraction(float(value))
+        assert math.copysign(1.0, read) == 1.0
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf"),
                                        10 ** 400, Fraction(-(10 ** 400))],

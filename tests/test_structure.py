@@ -227,6 +227,13 @@ def test_length_classes_read_in_one_place():
     assert sites_in_package({"DELTA_EQ_REL"}) == {("DELTA_EQ_REL", "direct1d._length_classes")}
 
 
+def test_summed_means_rule_read_in_one_place():
+    # The grid size from which means are summed is read where a state decides
+    # whether to record V; a posterior sums its means where its state did.
+    assert sites_in_package({"SUMMED_MEANS_GRID"}) == {
+        ("SUMMED_MEANS_GRID", "gp.GridCorrelations._advance")}
+
+
 def test_one_csv_writer():
     assert sites_in_package({"writer"}) == {("writer", "optimizer.csv_text")}
 
