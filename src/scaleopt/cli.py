@@ -199,8 +199,10 @@ def make_parser():
 
 def main(argv=None) -> int:
     parser = make_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads -1e9, -1/3 and -G as flags
+        if argv[i] in ("--a", "--b") and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]  # a numeral takes any sign and form
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, args, argv)

@@ -18,12 +18,13 @@ class IllConditionedModelError(ScaleoptError):
 
 
 class ObjectiveEvaluationError(ScaleoptError):
-    """The objective returned a value that is not finite or, as is or normalized, overflows."""
+    """The objective returned not one finite real, or one that overflows as is or normalized."""
 
     def __init__(self, point, value):
         self.point = point
         self.value = value
-        super().__init__(f"objective value {value!r} at {point!r} is not finite or overflows")
+        super().__init__(
+            f"objective value {value!r} at {point!r} is not one finite real number, or overflows")
 
 
 class NonFiniteEstimateError(ScaleoptError):

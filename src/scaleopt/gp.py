@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -293,15 +292,14 @@ class GridCorrelations:
     S is factored in bulk instead by a first call, a call that adds several
     points, and a new point whose d**2 falls below ``_PIVOT_FLOOR``.  This is
     the only code that factors S; a posterior without a run's state builds one
-    over no grid points.  ``rows`` records L, the jitter and, on a grid whose
-    means are summed, V's buffer (``whitened``) at each length it is called
-    with, so a second run on the same points replays them, reading the V rows
-    its L was built with; a history
-    that leaves those points rewinds, replaying on its own points the recorded
-    lengths it shares.  ``ones_solve`` keeps S^-1 1 and 1' S^-1 1 beside each
-    recorded L, solved once on it.  The bits depend on the lengths asked for
-    (7 points factored in bulk are not 5 with 2 appended), so only runs from
-    one design size share a state.  Only the q's of lengths recorded before
+    over no grid points.  ``rows`` records L, the jitter, S^-1 1 and 1' S^-1 1
+    (``ones_solve``, solved once on that L) and, on a grid whose means are
+    summed, V's buffer (``whitened``) at each length it is called with, so a
+    second run on the same points replays them, reading the V rows its L was
+    built with; a history that leaves those points rewinds, replaying on its
+    own points the recorded lengths it shares.  The bits depend on the
+    lengths asked for (7 points factored in bulk are not 5 with 2 appended),
+    so only runs from one design size share a state.  Only the q's of lengths recorded before
     V's bulk factor are kept, as V's rows cannot give them back; a cursor sums
     the others again from the bulk's q, in the appends' order.  Arrays handed
     out are never written again: later rows go beyond them, and a bulk factor,
@@ -316,7 +314,7 @@ class GridCorrelations:
     def _restart(self, capacity: int):
         """Empty buffers for ``capacity`` points, and no recorded state."""
         m = len(self.points)
-        self._seen, self._states, self._kept_q, self._ones = self.points[:0], {}, {}, {}
+        self._seen, self._states, self._kept_q = self.points[:0], {}, {}
         self._ups, self._v = np.zeros((capacity, m)), np.zeros((capacity, m))
         self._lower = np.zeros((capacity, capacity))
         self._jitter = 0.0
@@ -347,7 +345,7 @@ class GridCorrelations:
                 for k in lengths:
                     self._advance(points[:k])
             self._advance(points)
-        lower, jitter, _ = self._states[n]
+        lower, jitter = self._states[n][:2]
         return self._ups[:n], lower, self._q_at(n), jitter
 
     def whitened(self, n: int) -> Optional[np.ndarray]:
@@ -357,13 +355,8 @@ class GridCorrelations:
         return self._states[n][2]
 
     def ones_solve(self, n: int):
-        """(S^-1 1, 1' S^-1 1) at recorded length n, from one ``cho_solve`` on its L."""
-        solved = self._ones.get(n)
-        if solved is None:
-            ones = np.ones(n)
-            s_inv_ones = cho_solve(self._states[n][0], ones)
-            solved = self._ones[n] = (s_inv_ones, float(s_inv_ones @ ones))
-        return solved
+        """(S^-1 1, 1' S^-1 1) at recorded length n, solved on its L as it was recorded."""
+        return self._states[n][3]
 
     def _advance(self, points: np.ndarray):
         """Add the (n, d) points beyond those seen to the state, and record length n."""
@@ -375,9 +368,11 @@ class GridCorrelations:
             self._refactor(points)
         self._seen = points.copy()
         # L in column order, which LAPACK reads as it is: a view would be copied per solve.
+        lower, ones = np.asfortranarray(self._lower[:n, :n]), np.ones(n)
+        s_inv_ones = cho_solve(lower, ones)
         # V's buffer only where the means are summed from it: a bulk factor would leave it alive.
         v = self._v if len(self.points) >= SUMMED_MEANS_GRID else None
-        self._states[n] = (np.asfortranarray(self._lower[:n, :n]), self._jitter, v)
+        self._states[n] = (lower, self._jitter, v, (s_inv_ones, float(s_inv_ones @ ones)))
 
     def _append(self, points: np.ndarray) -> bool:
         """Append the last point's row of L, V and q; False if its pivot is below the floor."""
@@ -554,13 +549,13 @@ class SurrogatePosterior:
     ``GridCorrelations`` over no grid points built for this history.
     The ``mle`` estimates are the generalized-least-squares mean
     (1' S^-1 y) / (1' S^-1 1), with S^-1 1 from the state's ``ones_solve``,
-    and the averaged quadratic form of the residual weights S^-1 (y - mu),
-    which product means use too; ``sample`` uses ``estimate_sample``, solving w only for them.
+    and the averaged quadratic form of the residual weights w = S^-1 (y - mu);
+    ``sample`` uses ``estimate_sample``.  Both solve w, which product means read.
     On a large grid the means come from the run's ``mean_sums``, or else
     from a ``MeanSums`` of its own, which sums from row 0 to the same bits.
     The raw conditional variance is 1 - q, with q the column sums of
     (L^-1 Upsilon)**2.  Immutable after construction; a moment query
-    changes nothing but the sums it goes on from and those weights.
+    changes nothing but the sums it goes on from.
     """
 
     def __init__(self, history: EvaluationHistory, kernel: CorrelationKernel,
@@ -578,23 +573,21 @@ class SurrogatePosterior:
         self._whitened = state.whitened(history.n)
         self._sums = mean_sums or MeanSums()
         y = history.values
-        if estimator == "sample":
-            self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
+            if estimator == "sample":
+                self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
+                resid = y - self.parameters.mu
+            else:
                 s_inv_ones, ones_norm = state.ones_solve(history.n)
                 mu = _finite("mle", "mu", float(s_inv_ones @ y) / ones_norm)
                 resid = y - mu
                 if not np.isfinite(resid).all():  # then sigma2 >= |y - mu|**2 / n**2 overflows
                     raise NonFiniteEstimateError("mle", "sigma2", math.inf)
-                # Premultiplied residual weights: (y - mu)' S^-1
-                self._resid_weights = cho_solve(self._factor, resid)
+            # Premultiplied residual weights: (y - mu)' S^-1
+            self._resid_weights = cho_solve(self._factor, resid)
+            if estimator == "mle":
                 sigma2 = _finite("mle", "sigma2", float(resid @ self._resid_weights) / y.size)
-            self.parameters = ModelParameters(mu, max(sigma2, 0.0))
-
-    @cached_property  # a sample posterior's S^-1 (y - mu), solved where product means first read it
-    def _resid_weights(self) -> np.ndarray:
-        return cho_solve(self._factor, self.history.values - self.parameters.mu)
+                self.parameters = ModelParameters(mu, max(sigma2, 0.0))
 
     def conditional_moments(self, x) -> Moments:
         """Conditional mean and variance of the model at x."""

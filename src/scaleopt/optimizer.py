@@ -16,7 +16,7 @@ its last grid, so a run on points another run has seen replays what that
 run computed, bit for bit.
 
 Objective values are read by one rule, ``exact_value``, which keeps
-``int`` and ``Fraction`` values exact and rejects non-finite ones.  The
+``int`` and ``Fraction`` values exact and rejects any not one finite real.  The
 model sees only the exact normalization ``h = (y - y_0)/s`` of the values
 (``AffineNormalization``), rounded once (an h beyond float64 range is an
 ``ObjectiveEvaluationError``), so runs on f and on ``a*f + b``
@@ -35,6 +35,7 @@ import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -252,16 +253,17 @@ def exact_value(value, point):
     """An objective value, exactly as read: the one rule for reading one.
 
     ``int`` and ``Fraction`` values come back as exact ``Fraction``s; any
-    other value is read through ``float`` and comes back as that float, with
-    -0.0 read as 0.0.  A value that is not finite, or overflows float64,
-    raises ``ObjectiveEvaluationError``.
+    other ``numbers.Real``, or a 0-d array of one, is read through ``float``
+    and comes back as that float, with -0.0 read as 0.0.  Any other value,
+    or one not finite or beyond float64, raises ``ObjectiveEvaluationError``.
     """
     if type(value) is float:  # the common case, without the checks below
         if math.isfinite(value):
             return value + 0.0
         raise ObjectiveEvaluationError(point, value)
-    try:
-        as_float = float(value)
+    value = value[()] if isinstance(value, np.ndarray) else value  # a 0-d array's number
+    try:  # float() would also read text and buffers, and a numpy complex's real part
+        as_float = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:
         as_float = math.inf
     if not math.isfinite(as_float):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -161,6 +162,13 @@ def test_unknown_objective_names_the_builtins():
 
 _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+# The error a case must print, by case id, where its exit code does not say
+# which check refused it.
+_ERROR_TEXT = {
+    "scale-negative-spaced": "scale factor a must be positive",
+    "write-full-device": "cannot write /dev/full: [Errno 28] No space left on device",
+}
+
 
 @pytest.mark.parametrize("args, config, code", [
     # config file values are parsed with the types and choices of the flags
@@ -184,6 +192,12 @@ _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
                  id="scale-zero"),
     pytest.param(["homogeneity", "--a", "G+1", "--budget", "2"], None, cli.EXIT_CONFIG,
                  id="scale-two-terms"),
+    # the token after --a or --b is its value, whatever its sign or form
+    pytest.param(["homogeneity", "--a", "-G", "--budget", "2"], None, cli.EXIT_CONFIG,
+                 id="scale-negative-spaced"),
+    *(pytest.param(["homogeneity", "--b", b, "--budget", "2"], None, cli.EXIT_OK,
+                   id=f"offset-negative-spaced-{b}")
+      for b in ("-1e9", "-1/3", "-G^2")),
     # a negative budget and a nonpositive epsilon are rejected before any
     # evaluation
     pytest.param(["run", "--epsilon", "0"], None, cli.EXIT_CONFIG, id="run-epsilon-zero"),
@@ -234,8 +248,13 @@ _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
                  None, cli.EXIT_OK, id="scale-huge-ei"),
     pytest.param(["homogeneity", "--a", "1.7e308", "--b=1.7e308", "--budget", "2"],
                  None, cli.EXIT_OK, id="scaled-values-beyond-float64"),
+    # a write that fails after the checks, here for want of space
+    pytest.param(["example-fig1", "--output", "/dev/full"], None, cli.EXIT_CONFIG,
+                 id="write-full-device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
 ])
-def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
+def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch, request):
     calls = []
     lookup = objectives.get_objective
 
@@ -248,11 +267,12 @@ def test_exit_codes(args, config, code, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
-    if args[0] in ("run", "example-fig1"):
+    if args[0] in ("run", "example-fig1") and "--output" not in args:
         args = args + ["--output", str(tmp_path / "t")]
     assert run_cli(args) == code
     if code == cli.EXIT_CONFIG:
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and _ERROR_TEXT.get(request.node.callspec.id, "") in err
         assert calls == []
 
 

@@ -538,21 +538,27 @@ class TestGridCorrelations:
         qs = {id(a) for a in found if isinstance(a, np.ndarray) and a.shape == (len(grid),)}
         assert len(qs) <= 3
 
-    def test_ones_solved_once_per_recorded_length(self, monkeypatch):
-        # an mle posterior solves for its residual weights only; S^-1 1 comes
-        # from the state, solved once at each length, with a fresh state's bits
+    @pytest.mark.parametrize("estimator", gp.ESTIMATORS)
+    def test_ones_solved_once_per_recorded_length(self, estimator, monkeypatch):
+        # either posterior solves for its residual weights only; S^-1 1 comes
+        # from the state, solved once as each length is recorded, with a fresh
+        # state's bits
         calls, solve = [], gp.cho_solve
         monkeypatch.setattr(gp, "cho_solve", lambda *a: calls.append(a) or solve(*a))
         rng = np.random.default_rng(37)
         grid = rng.uniform(0, 1, size=(60, 2))
         cache = GridCorrelations(grid, KERNEL)
         histories = self.histories(rng, 8, 2)[1:]
-        first = [build_posterior(h, KERNEL, "mle", cache).parameters for h in histories]
+        first = [build_posterior(h, KERNEL, estimator, cache) for h in histories]
         assert len(calls) == 2 * len(histories)
         calls.clear()
-        again = [build_posterior(h, KERNEL, "mle", cache).parameters for h in histories]
-        assert len(calls) == len(histories) and again == first
-        assert first == [build_posterior(h, KERNEL, "mle").parameters for h in histories]
+        again = [build_posterior(h, KERNEL, estimator, cache) for h in histories]
+        assert len(calls) == len(histories)
+        assert all(np.array_equal(p.moments_grid(grid)[0], q.moments_grid(grid)[0])
+                   for p, q in zip(again, first))
+        parameters = [p.parameters for p in first]
+        assert [p.parameters for p in again] == parameters
+        assert [build_posterior(h, KERNEL, estimator).parameters for h in histories] == parameters
 
     def test_near_duplicate_forces_bulk_refactor(self, monkeypatch):
         # only the new point's own pivot decides between an append and a bulk factor

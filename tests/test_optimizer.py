@@ -542,9 +542,12 @@ class TestExactValue:
         assert math.copysign(1.0, read) == 1.0
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf"),
-                                       10 ** 400, Fraction(-(10 ** 400))],
+                                       10 ** 400, Fraction(-(10 ** 400)),
+                                       "1.5", b"2", None, 1j, np.complex128(1.0),
+                                       np.array([3.0])],
                              ids=["inf", "-inf", "nan", "float32 inf", "int 1e400",
-                                  "Fraction -1e400"])
+                                  "Fraction -1e400", "str", "bytes", "None", "complex",
+                                  "numpy complex", "1-element array"])
     def test_non_finite_or_overflowing_raises(self, value):
         with pytest.raises(ObjectiveEvaluationError):
             opt.exact_value(value, 0.0)

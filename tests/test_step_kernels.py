@@ -194,24 +194,3 @@ def test_shared_prefix_counts_signed_zeros_equal():
     assert gp._shared_prefix(a, b) == 2
     assert gp._shared_prefix(a, a.copy()) == 3
     assert gp._shared_prefix(a[:2], b) == 2
-
-
-class TestDeferredResidualSolve:
-    """A sample posterior solves S^-1 (y - mu) only where product means read it."""
-
-    @staticmethod
-    def counted_run(monkeypatch, lower, upper, budget):
-        calls, solve = [], gp.cho_solve
-        monkeypatch.setattr(gp, "cho_solve", lambda *a: calls.append(a) or solve(*a))
-        trace = opt.run(opt.P_ALGORITHM, lambda x: float(np.sum(np.sin(3 * np.atleast_1d(x)))),
-                        lower, upper, budget=budget, estimator="sample")
-        return trace, len(calls)
-
-    def test_none_on_a_summed_means_grid(self, monkeypatch):
-        assert 101 * 101 >= gp.SUMMED_MEANS_GRID  # the default 2-D grid
-        trace, calls = self.counted_run(monkeypatch, [-1.0, -1.0], [1.0, 1.0], 8)
-        assert len(trace.steps) == 8 and calls == 0
-
-    def test_one_per_step_on_a_1d_grid(self, monkeypatch):
-        trace, calls = self.counted_run(monkeypatch, [-1.0], [1.0], 8)
-        assert len(trace.steps) == 8 and calls == 8

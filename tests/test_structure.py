@@ -234,6 +234,14 @@ def test_summed_means_rule_read_in_one_place():
         ("SUMMED_MEANS_GRID", "gp.GridCorrelations._advance")}
 
 
+def test_each_system_solved_in_one_place():
+    # S^-1 1 depends on the points alone and is solved as a state records a
+    # length; w = S^-1 (y - mu) is solved as every posterior is built.
+    assert sites_in_package({"cho_solve"}, called=True) == {
+        ("cho_solve", "gp.GridCorrelations._advance"),
+        ("cho_solve", "gp.SurrogatePosterior.__init__")}
+
+
 def test_one_csv_writer():
     assert sites_in_package({"writer"}) == {("writer", "optimizer.csv_text")}
 
