@@ -3,13 +3,12 @@
 Two criteria are provided: the improvement-probability statistic
 ``(y_on - m(x)) / s(x)`` and the expected improvement over the
 aspiration level, in its closed form ``s * (u * Phi(u) + phi(u))``
-with ``u = (y_on - m) / s``.
+with ``u = (y_on - m) / s``; the aspiration level y_on is a plain float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -26,23 +25,17 @@ P_CRITERION = "p-criterion"
 EXPECTED_IMPROVEMENT = "expected-improvement"
 
 
-@dataclass(frozen=True)
-class AspirationLevel:
-    """Target level below the current best, scaled by the estimated spread."""
-
-    y_on: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+def check_epsilon(epsilon: float) -> None:
+    """The aspiration margin's rule: epsilon must be positive and finite."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
 
 
 def aspiration(history: EvaluationHistory, parameters: ModelParameters,
-               epsilon: float) -> AspirationLevel:
-    """Aspiration level min_i y_i - epsilon * sigma-hat."""
-    return AspirationLevel(float(np.minimum.reduce(history.values)) - epsilon * parameters.sigma,
-                           epsilon)
+               epsilon: float) -> float:
+    """Aspiration level y_on = min_i y_i - epsilon * sigma-hat, the number a criterion beats."""
+    check_epsilon(epsilon)
+    return float(np.minimum.reduce(history.values)) - epsilon * parameters.sigma
 
 
 def normal_cdf(t, out=None):
@@ -77,20 +70,20 @@ def ei_closed_form(m, s, y_on):
     return ei
 
 
-def criterion_grid(kind: str, posterior: SurrogatePosterior, asp: AspirationLevel,
+def criterion_grid(kind: str, posterior: SurrogatePosterior, y_on: float,
                    points: np.ndarray):
-    """Criterion values and degeneracy mask over an (m, d) candidate array."""
+    """Criterion values against level ``y_on``, and degeneracy mask, over (m, d) candidates."""
     means, variances, _ = posterior.moments_grid(points)
     s = np.sqrt(variances, out=variances)
     degenerate = s <= DEGENERATE_FACTOR * posterior.parameters.sigma
     if kind == P_CRITERION:
-        values = np.subtract(asp.y_on, means, out=means)
+        values = np.subtract(y_on, means, out=means)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values /= s  # a degenerate entry's quotient is replaced next
         np.copyto(values, -np.inf, where=degenerate)
     elif kind == EXPECTED_IMPROVEMENT:
         np.copyto(s, 0.0, where=degenerate)
-        values = ei_closed_form(means, s, asp.y_on)
+        values = ei_closed_form(means, s, y_on)
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
     return values, degenerate

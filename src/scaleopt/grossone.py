@@ -229,7 +229,7 @@ _TERM_RE = re.compile(
             (?:\*\s*(?P<unit1>G(?:\^(?P<p1>-?\d+))?))?
           | (?P<unit2>G(?:\^(?P<p2>-?\d+))?)
         )\s*""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # \d is 0-9 alone, not every Unicode digit
 )
 
 
@@ -259,13 +259,14 @@ def parse_numeral(text: str) -> ExtendedNumeral:
             magnitude = 1.0
         else:  # a decimal is read as a float, p/q exactly
             magnitude = Fraction(coeff) if "/" in coeff else float(coeff)
-        if magnitude > sys.float_info.max:
-            raise ValueError(f"numeral {text!r} has a coefficient beyond float64 range")
+        underflow = magnitude == 0 and re.search("[1-9]", re.split("[eE/]", coeff)[0])
+        if magnitude > sys.float_info.max or underflow:  # 1e400 and 1e-400 alike
+            raise ValueError(f"numeral {text!r} has a coefficient outside float64 range")
         total = total + ExtendedNumeral.monomial(factor * magnitude, grade)
         pos = match.end()
         first = False
     if any(abs(c) > sys.float_info.max for c in total.terms.values()):
-        raise ValueError(f"numeral {text!r} has a coefficient beyond float64 range")
+        raise ValueError(f"numeral {text!r} has a coefficient outside float64 range")
     return total
 
 

@@ -111,6 +111,7 @@ def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
     affinely related second data set computed exactly as a*f + b, and
     reports the criterion argmax of each by the run's own grid and
     selection rule (``optimizer.CandidateGrid``, ``optimizer.argmax_criterion``).
+    A grid whose every candidate is one of the five points is a ``ValueError``.
     """
     points = np.array(obj.FIG1_POINTS)[:, None]
     f_vals = np.array(obj.FIG1_F_VALUES)
@@ -119,21 +120,24 @@ def fig1_reproduction(estimator: str = DEFAULT_ESTIMATOR,
     kernel = CorrelationKernel(c=obj.FIG1_KERNEL_C)  # the exponential family
     grid = optimizer.CandidateGrid.for_region([0.0], [1.0], resolution)
     xs = grid.points
+    visited = EvaluationHistory([0.0], [1.0], points, f_vals).visited(xs)
+    if visited.all():
+        raise ValueError(f"the five example points visit all {len(xs)} grid candidates")
 
     out = {"x": xs.ravel(), "printed_phi_deviation": printed_dev,
            "a": obj.FIG1_A, "b": obj.FIG1_B}
     for tag, vals in (("f", f_vals), ("phi", phi_exact)):
         history = EvaluationHistory([0.0], [1.0], points, vals)
         posterior = build_posterior(history, kernel, estimator)
-        asp = acq.aspiration(history, posterior.parameters, epsilon)
+        y_on = acq.aspiration(history, posterior.parameters, epsilon)
         means, variances, _ = posterior.moments_grid(xs)
-        crit, _ = acq.criterion_grid(acq.P_CRITERION, posterior, asp, xs)
+        crit, _ = acq.criterion_grid(acq.P_CRITERION, posterior, y_on, xs)
         out[f"m_{tag}"] = means
         out[f"s_{tag}"] = np.sqrt(variances)
         out[f"crit_{tag}"] = crit
-        out[f"y_on_{tag}"] = asp.y_on
+        out[f"y_on_{tag}"] = y_on
         out[f"argmax_{tag}"] = optimizer.argmax_criterion(
-            acq.P_CRITERION, posterior, asp, grid, history.visited(xs)).grid_index
+            acq.P_CRITERION, posterior, y_on, grid, visited).grid_index
     return out
 
 

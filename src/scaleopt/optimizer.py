@@ -3,10 +3,10 @@
 The acquisition argmax is computed on a fixed lattice with lowest-index
 tie-breaking, so that two runs fed affinely related objective values can
 be compared point by point.  One loop, ``grid_run``, serves ``run`` and
-``grossone.scaled_criterion_run``.  It keeps its visited mask, built from
-the design and marked by index at each step on a ``separated`` grid (by
-the O(m*d) ``same_point`` mask on m grid points otherwise), and its
-observations in a ``gp.HistoryBuffer``, so a step copies no history.  The
+``grossone.scaled_criterion_run``.  A grid's candidates are distinct
+points, so the run keeps its visited mask, built from the design, by
+marking each step's index, and its observations in a
+``gp.HistoryBuffer``, so a step copies no history.  The
 model's point-only state (``gp.GridCorrelations``: the grid correlations,
 the Cholesky factor and the grid variances) grows by one observation at
 O(n**2 + n*m), and on a large grid the run's ``gp.MeanSums`` grows its
@@ -59,7 +59,6 @@ from .gp import (
     build_posterior,
     check_inside,
     lattice_separated,
-    same_point,
 )
 
 P_ALGORITHM = "p-algorithm"
@@ -77,7 +76,7 @@ DEFAULT_EPSILON = 0.1
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class CandidateGrid:
-    """Lexicographically ordered lattice over a hyper-rectangle."""
+    """Lexicographically ordered lattice of distinct points over a hyper-rectangle."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -92,12 +91,12 @@ class CandidateGrid:
             raise ValueError("grid resolution must be at least 2")
         axes = [np.linspace(lower[k], upper[k], self.resolution)
                 for k in range(lower.size)]
+        if not lattice_separated(axes):  # else two candidates are the same point
+            raise ValueError("grid axes must increase in steps above the duplicate threshold")
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
         points.flags.writeable = False  # shared by every step and caller
         object.__setattr__(self, "_points", points)
-        # True if no two candidates are the same point: a visit then marks one index.
-        object.__setattr__(self, "separated", lattice_separated(axes))
         object.__setattr__(self, "_correlations", {})
 
     @classmethod
@@ -146,15 +145,15 @@ class Selection:
 
 
 def argmax_criterion(kind: str, posterior: SurrogatePosterior,
-                     asp: acq.AspirationLevel, grid: CandidateGrid,
+                     y_on: float, grid: CandidateGrid,
                      visited: np.ndarray) -> Selection:
-    """Best candidate on the grid, lowest index on exact ties.
+    """Best candidate on the grid against level ``y_on``, lowest index on exact ties.
 
     Candidates coinciding with history points (the grid mask ``visited``)
     are excluded; degenerate candidates rank below every non-degenerate one.
     """
     points = grid.points
-    values, degenerate = acq.criterion_grid(kind, posterior, asp, points)
+    values, degenerate = acq.criterion_grid(kind, posterior, y_on, points)
     return _select_excluding(values, np.logical_or(degenerate, visited, out=degenerate), points)
 
 
@@ -346,7 +345,7 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    acq.AspirationLevel(-math.inf, epsilon)  # its rule for epsilon
+    acq.check_epsilon(epsilon)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator tag {estimator!r}")
     if initial_design is None:
@@ -400,15 +399,12 @@ def grid_run(algorithm: str, objective: Callable, lower, upper,
             sel = _select_excluding(np.zeros(len(points)), visited, points)
             criterion = y_on = None
         else:
-            asp = acq.aspiration(history, params, epsilon)
-            sel = argmax_criterion(kind, posterior, asp, grid, visited)
+            level = acq.aspiration(history, params, epsilon)
+            sel = argmax_criterion(kind, posterior, level, grid, visited)
             criterion = sel.value if kind == acq.P_CRITERION else normalize.restore(sel.value)
-            y_on = normalize.restore(asp.y_on, shifted=True)
+            y_on = normalize.restore(level, shifted=True)
         h, value, best_f = observe(sel.point)
-        if grid.separated:  # the candidate is the same point as itself only
-            visited[sel.grid_index] = True
-        else:
-            visited[same_point(points, sel.point[None, :])[:, 0]] = True
+        visited[sel.grid_index] = True  # candidates are distinct points
         observed.append(sel.point, h)
         trace.records.append(TraceRecord(it, sel.grid_index, sel.point, value, criterion,
                                          mu, sigma2, y_on, best_f,

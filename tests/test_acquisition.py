@@ -55,15 +55,13 @@ class TestAspiration:
         h = EvaluationHistory([0.0], [1.0], [[0.1], [0.9]], [0.0, 2.0])
         from scaleopt.gp import ModelParameters
         params = ModelParameters(1.0, 2.0)
-        asp = acq.aspiration(h, params, 0.1)
-        assert asp.y_on == pytest.approx(-0.1 * math.sqrt(2.0))
+        assert acq.aspiration(h, params, 0.1) == pytest.approx(-0.1 * math.sqrt(2.0))
 
     def test_zero_spread(self):
         h = EvaluationHistory([0.0], [1.0], [[0.1], [0.9]], [3.0, 3.0])
         from scaleopt.gp import ModelParameters
         params = ModelParameters(3.0, 0.0)
-        asp = acq.aspiration(h, params, 0.1)
-        assert asp.y_on == 3.0
+        assert acq.aspiration(h, params, 0.1) == 3.0
 
     def test_scales_affinely(self):
         a, b = 2.5, -1.0
@@ -71,8 +69,8 @@ class TestAspiration:
         params = estimate_mle(h, KERNEL)
         hz = fig1_history(a * FIG1_VALUES + b)
         params_z = estimate_mle(hz, KERNEL)
-        y_on = acq.aspiration(h, params, 0.1).y_on
-        z_on = acq.aspiration(hz, params_z, 0.1).y_on
+        y_on = acq.aspiration(h, params, 0.1)
+        z_on = acq.aspiration(hz, params_z, 0.1)
         assert z_on == pytest.approx(a * y_on + b, rel=1e-12)
 
     def test_epsilon_must_be_positive(self):
@@ -105,8 +103,7 @@ class TestPCriterion:
     def test_centered_case_zero(self):
         posterior = build_posterior(fig1_history(), KERNEL)
         m, s2, _ = posterior.conditional_moments([0.35])
-        asp = acq.AspirationLevel(m, 0.1)
-        values, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, asp,
+        values, degenerate = acq.criterion_grid(acq.P_CRITERION, posterior, m,
                                                 np.array([[0.35]]))
         assert not degenerate[0]
         assert values[0] == pytest.approx(0.0, abs=1e-12)
@@ -185,9 +182,8 @@ class TestExpectedImprovement:
 
     def test_degenerate_uses_deterministic_limit(self):
         posterior = build_posterior(fig1_history(), KERNEL)
-        asp = acq.AspirationLevel(-0.5, 0.1)
         values, degenerate = acq.criterion_grid(acq.EXPECTED_IMPROVEMENT, posterior,
-                                                asp, np.array([[0.2]]))
+                                                -0.5, np.array([[0.2]]))
         assert degenerate[0]
         # history value at 0.2 is -0.9 < y_on, improvement is certain
         assert values[0] == pytest.approx(-0.5 - (-0.9), rel=1e-9)

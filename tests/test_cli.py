@@ -167,6 +167,11 @@ _NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 _ERROR_TEXT = {
     "scale-negative-spaced": "scale factor a must be positive",
     "write-full-device": "cannot write /dev/full: [Errno 28] No space left on device",
+    **{f"fig1-grid-filled-{r}": f"the five example points visit all {r} grid candidates"
+       for r in (2, 3)},
+    **{f"numeral-{case}": "has a coefficient outside float64 range"
+       for case in ("b-underflow", "a-underflow", "grade-underflow")},
+    "numeral-non-ascii-digits": "cannot parse numeral",
 }
 
 
@@ -212,6 +217,9 @@ _ERROR_TEXT = {
                  id="run-budget-beyond-grid"),
     pytest.param(["homogeneity", "--grid-resolution", "5", "--budget", "3"], None,
                  cli.EXIT_CONFIG, id="homogeneity-budget-beyond-grid"),
+    # the five example points fill these grids, leaving no candidate to rank
+    *(pytest.param(["example-fig1", "--grid-resolution", str(r)], None, cli.EXIT_CONFIG,
+                   id=f"fig1-grid-filled-{r}") for r in (2, 3)),
     # epsilon and the kernel rate must be finite too
     pytest.param(["run", "--epsilon", "inf"], None, cli.EXIT_CONFIG, id="run-epsilon-inf"),
     pytest.param(["homogeneity", "--epsilon", "inf"], None, cli.EXIT_CONFIG,
@@ -241,6 +249,16 @@ _ERROR_TEXT = {
                  cli.EXIT_CONFIG, id="numeral-b-overflow"),
     pytest.param(["homogeneity", "--a=1e400*G", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-grade-overflow"),
+    # a nonzero coefficient that would round to 0, and digits other than 0-9,
+    # would be read as another number
+    pytest.param(["homogeneity", "--b", "1e-400", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-b-underflow"),
+    pytest.param(["homogeneity", "--a", "1e-400", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-a-underflow"),
+    pytest.param(["homogeneity", "--a", "1e-400*G", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-grade-underflow"),
+    pytest.param(["homogeneity", "--a", "\u0661\u0660", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-non-ascii-digits"),
     # huge finite scalings: the scaled values are never rounded to float64
     pytest.param(["homogeneity", "--a", "1e308", "--budget", "2"], None, cli.EXIT_OK,
                  id="scale-huge"),

@@ -26,29 +26,30 @@ TOP = 8
 TIE_REL = 2e-15
 FLOAT_RAW = 1e-12
 BUDGET = 25
+EPSILON = opt.DEFAULT_EPSILON
 
 
 def recorded_steps(monkeypatch, algorithm, kernel, estimator, name):
-    """(posterior, aspiration, visited, selection) of each criterion step of a run."""
+    """(posterior, aspiration level, visited, selection) of each criterion step of a run."""
     steps = []
     argmax = opt.argmax_criterion
 
-    def recording(kind, posterior, asp, grid, visited):
-        sel = argmax(kind, posterior, asp, grid, visited)
-        steps.append((posterior, asp, visited.copy(), sel))
+    def recording(kind, posterior, y_on, grid, visited):
+        sel = argmax(kind, posterior, y_on, grid, visited)
+        steps.append((posterior, y_on, visited.copy(), sel))
         return sel
 
     monkeypatch.setattr(opt, "argmax_criterion", recording)
     objective, (lower, upper) = get_objective(name)
     grid = opt.CandidateGrid.for_region([lower], [upper])
     opt.run(algorithm, objective, [lower], [upper], budget=BUDGET, kernel=kernel,
-            estimator=estimator, grid=grid)
+            estimator=estimator, epsilon=EPSILON, grid=grid)
     return grid, steps
 
 
-def classify(kind, estimator, grid, posterior, asp, visited, sel) -> str:
-    """'agrees', 'tie', 'float-decided' or 'wrong' for one step."""
-    values, degenerate = acq.criterion_grid(kind, posterior, asp, grid.points)
+def classify(kind, estimator, grid, posterior, y_on, visited, sel) -> str:
+    """'agrees', 'tie', 'float-decided' or 'wrong' for one step of a run with margin EPSILON."""
+    values, degenerate = acq.criterion_grid(kind, posterior, y_on, grid.points)
     masked = np.where(~visited & ~degenerate, values, -np.inf)
     top = np.argsort(-masked, kind="stable")[:TOP]
     top = top[np.isfinite(masked[top])]
@@ -57,7 +58,7 @@ def classify(kind, estimator, grid, posterior, asp, visited, sel) -> str:
     ups = kernel.of_distance(gp._cross_distances(history.points, grid.points[top]))
     criteria, raws, sigma2 = oracles.criteria_60(
         gp.correlation_matrix(history.points, kernel), posterior.jitter, ups, history.values,
-        estimator, asp.epsilon, "p" if kind == acq.P_CRITERION else "ei")
+        estimator, EPSILON, "p" if kind == acq.P_CRITERION else "ei")
     best = max(range(len(top)), key=lambda k: criteria[k])
     if best == 0:
         return "agrees"

@@ -196,9 +196,11 @@ class TestTextFormat:
             G.to_real()
 
     def test_rejects_garbage(self):
-        # the last three have coefficients beyond float64 range
+        # 1e400, -1e400*G and the sum have coefficients beyond float64 range,
+        # 1e-400 and 1e-400*G nonzero ones that round to 0, and the last is 10
+        # in Arabic-Indic digits
         for text in ["", "3**G", "G^", "1 2", "1/0*G", "1.5/3", "1e400", "-1e400*G",
-                     "1e308*G + 1e308*G"]:
+                     "1e308*G + 1e308*G", "1e-400", "1e-400*G", "\u0661\u0660"]:
             with pytest.raises(ValueError):
                 parse_numeral(text)
         with pytest.raises(TypeError, match="cannot interpret 'x'"):  # arithmetic parses no text

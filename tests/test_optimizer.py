@@ -23,8 +23,6 @@ from scaleopt.harness import homogeneity_check
 from scaleopt.objectives import get_objective, sin3x2
 
 KERNEL = CorrelationKernel("exponential", 5.0)
-# A 6-step P run on sin(4e10 x) over [0, 1e-10] at 1001 candidates.
-FINE_GRID_INDICES = [875, 125, 625, 375, 938, 813]
 
 
 class TestCandidateGrid:
@@ -413,35 +411,37 @@ class TestVisitedMask:
                                      initial_design=design)
         assert checks == list(range(2, 14))
 
-    def test_grid_finer_than_threshold(self, monkeypatch):
-        # Spacing 5e-13: a chosen point also marks its neighbours within 1e-12,
-        # which marking the chosen index alone would miss.
-        grid = opt.CandidateGrid([0.0], [1e-9], 2001)
-        design = np.array([[0.0], [5e-10], [1e-9]])
-        _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM,
-                                     lambda x: math.sin(3e9 * x), [0.0], [1e-9],
-                                     budget=8, grid=grid, initial_design=design)
-        assert len(checks) == 8 and checks[1] - checks[0] > 1
+    def test_grid_finer_than_threshold(self):
+        # Steps of 5e-13, 1e-13 and -0.1: some candidate would be the same point
+        # as another, or the axis would not increase, so marking the chosen
+        # index alone would not mark every candidate a step visits.
+        for lower, upper, resolution in [(0.0, 1e-9, 2001), (0.0, 1e-10, 1001), (1.0, 0.0, 11)]:
+            with pytest.raises(ValueError, match="duplicate threshold"):
+                opt.CandidateGrid([lower], [upper], resolution)
 
     def test_2d_run_on_the_default_grid(self, monkeypatch):
         # the default design's corners and centre are grid points, and each
         # step marks its candidate by index alone
         grid = opt.CandidateGrid.for_region([0.0, 0.0], [1.0, 1.0])
-        assert grid.resolution == 101 and grid.separated
+        assert grid.resolution == 101
         _, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM, wavy_surface,
                                      [0.0, 0.0], [1.0, 1.0], budget=12, grid=grid)
         assert checks == list(range(5, 17))
 
     def test_grid_finer_than_one_step_per_threshold_uses_the_full_rule(self, monkeypatch):
-        # Steps of 1e-13: a chosen candidate is the same point as its ten
-        # neighbours on either side, so its index alone would leave them unvisited.
-        grid = opt.CandidateGrid([0.0], [1e-10], 1001)
-        assert not grid.separated
+        # Steps of 1e-13 would put ten neighbours within the threshold of each
+        # candidate, so that grid is refused.  At steps of 2e-12 the design
+        # points 2.5e-11 and 7.5e-11 lie off the grid and visit both neighbours
+        # of each, so the design marks 7 candidates; each step then marks its
+        # own index alone, which is the full rule.
+        with pytest.raises(ValueError, match="duplicate threshold"):
+            opt.CandidateGrid([0.0], [1e-10], 1001)
+        grid = opt.CandidateGrid([0.0], [1e-10], 51)
         trace, checks = self.checked_run(monkeypatch, opt.P_ALGORITHM,
                                          lambda x: math.sin(4e10 * x), [0.0], [1e-10],
                                          budget=6, grid=grid)
-        assert trace.grid_indices == FINE_GRID_INDICES
-        assert all(later - earlier > 1 for earlier, later in zip(checks, checks[1:]))
+        assert len(set(trace.grid_indices)) == 6
+        assert checks == list(range(7, 13))
 
     def test_zero_spread_fallback_takes_lowest_unvisited_index(self):
         # Grid 0, 0.1, ..., 1: indices 0 and 1 are visited (1 by a point 5e-13
@@ -492,7 +492,6 @@ class TestStepBookkeeping:
             return wrapper
 
         monkeypatch.setattr(opt, "argmax_criterion", stepped)
-        monkeypatch.setattr(opt, "same_point", counted_same_point)
         monkeypatch.setattr(gp, "same_point", counted_same_point)
         for name in ("concatenate", "append", "vstack"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))

@@ -84,12 +84,12 @@ class TestExpectedImprovement:
         points = opt.CandidateGrid.for_region([-1.0], [1.0]).points
         for estimator in gp.ESTIMATORS:
             posterior = gp.build_posterior(history, gp.CorrelationKernel(), estimator)
-            asp = acq.aspiration(history, posterior.parameters, 0.1)
+            y_on = acq.aspiration(history, posterior.parameters, 0.1)
             means_, variances, _ = posterior.moments_grid(points)
             s = np.sqrt(variances)
             s[s <= acq.DEGENERATE_FACTOR * posterior.parameters.sigma] = 0.0
-            values, _ = acq.criterion_grid(acq.EXPECTED_IMPROVEMENT, posterior, asp, points)
-            assert same_bytes(values, ei_oracle(means_, s, asp.y_on))
+            values, _ = acq.criterion_grid(acq.EXPECTED_IMPROVEMENT, posterior, y_on, points)
+            assert same_bytes(values, ei_oracle(means_, s, y_on))
 
 
 def sample_history(values):

@@ -242,6 +242,15 @@ def test_each_system_solved_in_one_place():
         ("cho_solve", "gp.SurrogatePosterior.__init__")}
 
 
+def test_visits_marked_by_index():
+    # A grid's candidates are distinct points, so a run marks each visit by
+    # its index; the same-point rule is applied only to a history's points.
+    assert sites_in_package({"same_point"}, called=True) == {
+        ("same_point", "gp.EvaluationHistory.__post_init__"),
+        ("same_point", "gp.EvaluationHistory.visited"),
+        ("same_point", "gp._checked_observation")}
+
+
 def test_one_csv_writer():
     assert sites_in_package({"writer"}) == {("writer", "optimizer.csv_text")}
 
