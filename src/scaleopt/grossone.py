@@ -9,11 +9,12 @@ their terms are, and hashing agrees with equality.
 
 ``scaled_criterion_run`` runs an optimizer on ``z = a*f(x) + b`` for any
 positive single-term a, finite, infinite or infinitesimal, and any b; it
-is the scaled run of every homogeneity check.  It normalizes the numeral
-values by the optimizer's own rule, ``(z - z_0)/s``; for a positive
-monomial a this cancels every grade and leaves exactly the finite value a
-run on f would see, so the scaled values themselves are never rounded,
-and any value that keeps a term outside grade 0 raises ``CollapseError``.
+is the scaled run of every homogeneity check.  It forms each z and its
+normalization ``(z - z_0)/s``, the optimizer's own rule, in exact integer
+columns, one (numerator, denominator) pair per grade, rather than in
+numerals; for a positive monomial a every grade but s's cancels and h is
+rounded once, to exactly the float a run on f would see.  A value that
+keeps a term outside grade 0 raises ``CollapseError``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import numpy as np
 
 from .errors import (
     CollapseError,
+    ObjectiveEvaluationError,
     UnsupportedDivisionError,
     UnsupportedScaleError,
 )
 from .optimizer import (
     P_ALGORITHM,
-    AffineNormalization,
     exact_value,
     grid_run,
 )
@@ -225,7 +226,7 @@ GROSSONE = ExtendedNumeral.monomial(1, 1)
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)\s*
         (?:
-            (?P<coeff>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?:/0*[1-9]\d*)?)\s*
+            (?P<coeff>\d+(?:/0*[1-9]\d*|(?:\.\d*)?(?:[eE][+-]?\d+)?))\s*
             (?:\*\s*(?P<unit1>G(?:\^(?P<p1>-?\d+))?))?
           | (?P<unit2>G(?:\^(?P<p2>-?\d+))?)
         )\s*""",
@@ -234,21 +235,25 @@ _TERM_RE = re.compile(
 
 
 def parse_numeral(text: str) -> ExtendedNumeral:
-    """Parse the textual numeral form, e.g. ``3*G^2 + 1.5 - 2*G^-1`` or ``1/3*G``."""
-    pos = 0
+    """Parse the textual numeral form, e.g. ``3*G^2 + 1.5 - 2*G^-1`` or ``1/3*G``.
+
+    A coefficient is a decimal, read as a float, or p/q with integers p and q,
+    read exactly; the whole text is parsed before any coefficient is read."""
     text = text.strip()
     if not text:
         raise ValueError("empty numeral")
-    total = ExtendedNumeral()
-    first = True
+    matches, pos = [], 0
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise ValueError(f"cannot parse numeral {text!r} at position {pos}")
-        sign = match.group("sign")
-        if not first and sign == "":
+        if matches and match.group("sign") == "":
             raise ValueError(f"missing +/- between terms in {text!r}")
-        factor = -1 if sign == "-" else 1
+        matches.append(match)
+        pos = match.end()
+    total = ExtendedNumeral()
+    for match in matches:
+        factor = -1 if match.group("sign") == "-" else 1
         coeff = match.group("coeff")
         unit = match.group("unit1") or match.group("unit2")
         power = match.group("p1") or match.group("p2")
@@ -263,8 +268,6 @@ def parse_numeral(text: str) -> ExtendedNumeral:
         if magnitude > sys.float_info.max or underflow:  # 1e400 and 1e-400 alike
             raise ValueError(f"numeral {text!r} has a coefficient outside float64 range")
         total = total + ExtendedNumeral.monomial(factor * magnitude, grade)
-        pos = match.end()
-        first = False
     if any(abs(c) > sys.float_info.max for c in total.terms.values()):
         raise ValueError(f"numeral {text!r} has a coefficient outside float64 range")
     return total
@@ -309,35 +312,75 @@ def scaled_criterion_run(objective, a, b, lower, upper, algorithm: str = P_ALGOR
     """Run ``algorithm`` on the extended-numeral values z = a*f(x) + b.
 
     f may return numerals or numbers; a number is read by
-    ``optimizer.exact_value``.  Each z is formed as a numeral and normalized
-    by the optimizer's rule, ``AffineNormalization``: h = (z - z_0)/s.  The
-    normalized value must be purely finite, or ``CollapseError`` is raised;
-    the exact finite value then goes to the common run loop
-    (``optimizer.grid_run``), whose own normalization leaves it unchanged.
-    For a positive monomial a the model therefore sees bit for bit what a
-    run on f sees.  The trace is in the normalized frame, for finite and
-    extended scalings alike, so it does not depend on a and b.  ``options``
-    and their defaults are ``optimizer.grid_run``'s.
+    ``optimizer.exact_value``.  Each z is formed from a = c*G^p and b's
+    terms, read once as int pairs, in exact integer columns, one per grade,
+    and normalized by the optimizer's rule h = (z - z_0)/s: the first
+    nonzero z - z_0 is s and must lie in one grade, and every later one
+    must lie in s's grade alone, or ``CollapseError`` is raised.  h is one
+    ``int / int``, rounded once (beyond float64 range, an
+    ``ObjectiveEvaluationError``).  The first h is 0 and the first nonzero
+    one +-1, so ``optimizer.grid_run``'s own normalization is the identity
+    on them, and for a positive monomial a the model sees bit for bit what
+    a run on f sees.  The trace is in the normalized frame, so it does not
+    depend on a and b.  ``options`` and their defaults are ``grid_run``'s.
 
     Returns (trace, certificates), one certificate per step.
     """
-    a = positive_scale(a)
-    b = as_numeral(b)
-    normalize = AffineNormalization()
+    ((shift, c),) = positive_scale(a).terms.items()
+    c_num, c_den = c.as_integer_ratio()
+    offset = {g: v.as_integer_ratio() for g, v in as_numeral(b).terms.items()}
+    anchor = scale = None  # z_0's columns; s as (grade, numerator, denominator)
+
+    def columns(terms):
+        """z = a*y + b, from y's (grade, coefficient) terms, as
+        {grade: (numerator, denominator)}, unreduced."""
+        z = dict(offset)
+        for grade, coeff in terms:
+            num, den = coeff.as_integer_ratio()
+            num, den, grade = c_num * num, c_den * den, grade + shift
+            if grade in z:
+                b_num, b_den = z[grade]
+                num, den = num * b_den + b_num * den, den * b_den
+            z[grade] = num, den
+        return z
 
     def collapsed(x):
+        nonlocal anchor, scale
         y = objective(x)
-        if not isinstance(y, ExtendedNumeral):
-            y = exact_value(y, x)
-        try:
-            h = normalize(a * y + b)
-        except UnsupportedDivisionError:
-            raise CollapseError(f"the values up to x={np.atleast_1d(x).tolist()} "
-                                f"differ in more than one grade") from None
-        if not h.is_finite:
+        z = columns(y.terms.items() if isinstance(y, ExtendedNumeral)
+                    else ((0, exact_value(y, x)),))
+        if anchor is None:
+            anchor = z
+        diff = {}  # z - z_0, its zero grades dropped
+        for grade in z.keys() | anchor.keys():
+            num, den = z.get(grade, (0, 1))
+            a_num, a_den = anchor.get(grade, (0, 1))
+            num = num * a_den - a_num * den
+            if num:
+                diff[grade] = num, den * a_den
+        if not diff:
+            return 0.0
+        if scale is None:
+            if len(diff) > 1:
+                raise CollapseError(f"the values up to x={np.atleast_1d(x).tolist()} "
+                                    f"differ in more than one grade")
+            ((grade, (num, den)),) = diff.items()
+            scale = grade, abs(num), den
+        grade, s_num, s_den = scale
+        if len(diff) > 1 or grade not in diff:
+            h = ExtendedNumeral({g - grade: Fraction(num * s_den, den * s_num)
+                                 for g, (num, den) in diff.items()})
             raise CollapseError(f"normalized value {h} at x={np.atleast_1d(x).tolist()} "
                                 f"kept a term outside grade 0")
-        return h.to_real()
+        num, den = diff[grade]
+        num, den = num * s_den, den * s_num
+        try:
+            h = num / den
+        except OverflowError:
+            raise ObjectiveEvaluationError(np.atleast_1d(x), Fraction(num, den)) from None
+        # grid_run reads a float -0.0 as 0.0, so a negative h that rounds to
+        # zero goes exact, for grid_run to round to -0.0 as a run on f does
+        return h if h or not num else Fraction(num, den)
 
     trace = grid_run(algorithm, collapsed, lower, upper, **options)
     # Every observation collapsed exactly, or the run would have raised.

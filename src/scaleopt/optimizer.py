@@ -273,34 +273,32 @@ def exact_value(value, point):
 
 
 class AffineNormalization:
-    """The map y -> (y - y_0)/s over one run's values, in exact arithmetic.
+    """The map y -> (y - y_0)/s over one run's real values, rounded once.
 
     y_0 is the first value and s = |y_k - y_0| for the first y_k != y_0,
     the max - min of the values at that observation; s is then fixed, and
-    until it exists every value maps to 0.  Values may be ``Fraction``s or
-    extended numerals.
+    until it exists every value maps to 0.  Both are kept as int pairs
+    (numerator, denominator), fixed when they are set.
     """
 
     def __init__(self):
         self.anchor = None
         self.scale = None
 
-    def __call__(self, y):
-        if self.anchor is None:
-            self.anchor = y
-        diff = y - self.anchor
-        if self.scale is None and diff != 0:
-            self.scale = diff if diff > 0 else -diff
-        return diff if self.scale is None else diff / self.scale
-
     def rounded(self, y) -> float:
-        """``float(self(Fraction(y)))`` for an exact number y, a float or a Fraction:
-        once s exists, one correctly rounded int / int."""
+        """``float((y - y_0)/s)`` for an exact number y, a float or a Fraction:
+        one correctly rounded int / int, which raises ``OverflowError`` beyond float64."""
+        num, den = y.as_integer_ratio()
+        if self.anchor is None:
+            self.anchor = num, den
+        a_num, a_den = self.anchor
+        diff, den = num * a_den - a_num * den, den * a_den  # y - y_0 = diff/den
         if self.scale is None:
-            return float(self(Fraction(y)))
-        (num, den), a, s = y.as_integer_ratio(), self.anchor, self.scale
-        return (((num * a.denominator - a.numerator * den) * s.denominator)
-                / (den * a.denominator * s.numerator))
+            if not diff:
+                return 0.0
+            self.scale = abs(diff), den
+        s_num, s_den = self.scale
+        return diff * s_den / (den * s_num)
 
     def restore(self, v: float, power: int = 1, shifted: bool = False) -> float:
         """``s**power * v``, plus y_0 if shifted, computed exactly and rounded once.
@@ -308,13 +306,13 @@ class AffineNormalization:
         A result beyond float64 range (or an infinite v) rounds to +-inf, as IEEE
         rounding does; the one ``int / int`` rounds correctly, as ``float(Fraction)`` does.
         """
-        scale = self.scale or 1
+        s_num, s_den = self.scale or (1, 1)
         try:
             num, den = v.as_integer_ratio()
-            num, den = num * scale.numerator ** power, den * scale.denominator ** power
+            num, den = num * s_num ** power, den * s_den ** power
             if shifted:
-                num = num * self.anchor.denominator + self.anchor.numerator * den
-                den *= self.anchor.denominator
+                a_num, a_den = self.anchor
+                num, den = num * a_den + a_num * den, den * a_den
             return num / den
         except OverflowError:  # s > 0 and |y_0| is finite, so the result has v's sign
             return math.copysign(math.inf, v)

@@ -172,6 +172,8 @@ _ERROR_TEXT = {
     **{f"numeral-{case}": "has a coefficient outside float64 range"
        for case in ("b-underflow", "a-underflow", "grade-underflow")},
     "numeral-non-ascii-digits": "cannot parse numeral",
+    "numeral-a-decimal-over-integer": "cannot parse numeral '1.5/3'",
+    "numeral-b-decimal-over-integer": "cannot parse numeral '1e-400/3'",
 }
 
 
@@ -259,6 +261,11 @@ _ERROR_TEXT = {
                  cli.EXIT_CONFIG, id="numeral-grade-underflow"),
     pytest.param(["homogeneity", "--a", "\u0661\u0660", "--budget", "2"], None,
                  cli.EXIT_CONFIG, id="numeral-non-ascii-digits"),
+    # p/q takes an integer p only; the grammar is checked before any value
+    pytest.param(["homogeneity", "--a", "1.5/3", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-a-decimal-over-integer"),
+    pytest.param(["homogeneity", "--b", "1e-400/3", "--budget", "2"], None,
+                 cli.EXIT_CONFIG, id="numeral-b-decimal-over-integer"),
     # huge finite scalings: the scaled values are never rounded to float64
     pytest.param(["homogeneity", "--a", "1e308", "--budget", "2"], None, cli.EXIT_OK,
                  id="scale-huge"),

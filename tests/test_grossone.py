@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from scaleopt.grossone import (
     scaled_criterion_run,
 )
 from scaleopt.objectives import gramacy_lee, sin3x2
+from test_optimizer import overflowing
 
 
 def N(**terms):
@@ -203,6 +205,8 @@ class TestTextFormat:
                      "1e308*G + 1e308*G", "1e-400", "1e-400*G", "\u0661\u0660"]:
             with pytest.raises(ValueError):
                 parse_numeral(text)
+        with pytest.raises(ValueError, match=r"cannot parse numeral '1\.5/3' at position 3"):
+            parse_numeral("1.5/3")  # p/q takes an integer p only
         with pytest.raises(TypeError, match="cannot interpret 'x'"):  # arithmetic parses no text
             G + "x"
 
@@ -294,6 +298,14 @@ class TestScaledCriterionRun:
             with pytest.raises(ObjectiveEvaluationError):
                 scaled_criterion_run(lambda x: bad, "G", "G^2", [-1.0], [1.0], budget=1)
 
+    @pytest.mark.parametrize("a, b", [(1, 0), ("G", "G^2"), (3.9765, -7.3)])
+    def test_normalized_overflow_raises_at_the_point(self, a, b):
+        # as in the float run, y_0 = 0 and s = a*1e-300 put h at 0.5 beyond float64
+        with pytest.raises(ObjectiveEvaluationError) as info:
+            scaled_criterion_run(overflowing, a, b, [-1.0], [1.0], budget=2,
+                                 initial_design=[[-1.0], [-0.5], [0.5]])
+        assert info.value.point[0] == 0.5
+
     def test_non_monomial_scale_rejected(self):
         with pytest.raises(UnsupportedScaleError):
             scaled_criterion_run(sin3x2, "G + 1", 0.0, [-1.0], [1.0], budget=1)
@@ -301,3 +313,71 @@ class TestScaledCriterionRun:
     def test_negative_scale_rejected(self):
         with pytest.raises(UnsupportedScaleError):
             scaled_criterion_run(sin3x2, -2.0, 0.0, [-1.0], [1.0], budget=1)
+
+
+def normalized_by_numerals(a, b, values):
+    """The oracle: each h = ((a*y + b) - (a*y_0 + b))/s in ``ExtendedNumeral``
+    arithmetic, as a float, up to the first value that fails; then how it fails."""
+    anchor = scale = None
+    out = []
+    for y in values:
+        z = a * y + b
+        anchor = z if anchor is None else anchor
+        diff = z - anchor
+        if scale is None and not diff.is_zero:
+            if not diff.is_monomial:
+                return out, "more than one grade"
+            scale = diff if diff > 0 else -diff
+        h = diff if scale is None else diff / scale
+        if not h.is_finite:
+            return out, "outside grade 0"
+        try:
+            out.append(float(h.to_real()))
+        except OverflowError:
+            return out, "overflow"
+    return out, None
+
+
+reals = st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False)
+affine_images = st.builds(lambda x: G * x + 3, reals)  # one affine numeral image of x
+any_value = st.one_of(reals, affine_images, st.builds(lambda u, v: G * u + v, reals, reals))
+# values of one kind, repeats among them, then a tail of any kind
+one_kind = st.one_of(st.lists(reals, min_size=1, max_size=4),
+                     st.lists(affine_images, min_size=1, max_size=4)).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+sequences = st.builds(list.__add__, one_kind, st.lists(any_value, max_size=2))
+scales = st.builds(ExtendedNumeral.monomial,
+                   st.floats(1e-12, 1e12) | st.fractions(Fraction(1, 10 ** 6), 10 ** 6)
+                   .filter(lambda c: c > 0),
+                   st.integers(-2, 2))
+offsets = st.dictionaries(st.integers(-3, 3), reals, max_size=3).map(ExtendedNumeral)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=scales, b=offsets, values=sequences)
+@example(a=G, b=G * G, values=[0.0, -1e-300, 1e300])  # s = G*1e-300, h = 1e600 overflows
+@example(a=G, b=G * G, values=[0.0, 1e300, -1e-30])  # h rounds to -0.0
+@example(a=as_numeral(1), b=ExtendedNumeral(), values=[G * 2 + 3, G + 3, G * 2 + 1])
+def test_grade_columns_match_the_numeral_oracle(a, b, values):
+    # the scaled run's design values are its normalized values, exactly as rounded
+    points = np.linspace(0.0, 1.0, len(values))
+    by_point = dict(zip(points.tolist(), values))
+    want, failure = normalized_by_numerals(a, b, values)
+
+    def run():
+        return scaled_criterion_run(lambda x: by_point[float(x)], a, b, [0.0], [1.0],
+                                    budget=0, initial_design=points[:, None])
+
+    if failure is None:
+        got = [r.value for r in run()[0].records]
+        assert [(h, math.copysign(1.0, h)) for h in got] == \
+            [(h, math.copysign(1.0, h)) for h in want]
+        return
+    error = ObjectiveEvaluationError if failure == "overflow" else CollapseError
+    with pytest.raises(error, match=None if failure == "overflow" else failure) as info:
+        run()
+    failed_at = points[len(want)].item()
+    if failure == "overflow":
+        assert info.value.point[0] == failed_at
+    else:
+        assert f"x={[failed_at]}" in str(info.value)

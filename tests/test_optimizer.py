@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import weakref
@@ -552,11 +553,14 @@ class TestExactValue:
             opt.exact_value(value, 0.0)
 
 
-def restore_by_fraction(normalize, v, power, shifted):
-    """``AffineNormalization.restore``'s defining formula, in ``Fraction``s."""
-    out = Fraction(v) * (normalize.scale or 1) ** power
+def restore_by_fraction(values, v, power, shifted):
+    """``AffineNormalization.restore``'s defining formula, in ``Fraction``s, with
+    y_0 the first of ``values`` and s the first nonzero |y - y_0| (or 1)."""
+    anchor = Fraction(values[0])
+    scale = next((abs(Fraction(y) - anchor) for y in values if y != values[0]), 1)
+    out = Fraction(v) * scale ** power
     if shifted:
-        out += normalize.anchor
+        out += anchor
     try:
         return float(out)
     except OverflowError:
@@ -577,15 +581,16 @@ class TestRestore:
     def test_matches_fraction_formula(self, values, v, power, shifted):
         normalize = opt.AffineNormalization()
         for y in values:
-            normalize(Fraction(y))
+            with contextlib.suppress(OverflowError):  # an h beyond float64; y_0 and s are set
+                normalize.rounded(y)
         got = normalize.restore(v, power, shifted)
-        want = restore_by_fraction(normalize, v, power, shifted)
+        want = restore_by_fraction(values, v, power, shifted)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_overflow_rounds_to_infinity(self):
         normalize = opt.AffineNormalization()
-        normalize(Fraction(0))
-        normalize(Fraction(1e300))
+        normalize.rounded(0.0)
+        normalize.rounded(1e300)
         assert normalize.restore(1e300, power=2) == math.inf
         assert normalize.restore(-1e300, power=2, shifted=True) == -math.inf
 
