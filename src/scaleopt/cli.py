@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import gp, harness, objectives, optimizer
+from . import gp, grossone, harness, objectives, optimizer
 from .errors import ConfigError, ScaleoptError
 
 EXIT_OK = 0
@@ -124,13 +124,23 @@ def cmd_homogeneity(args) -> int:
     if args.algorithm == "direct":
         return _direct_check(args)
     _reject_unread(args, ["output"])
+    a, b = (_numeral(args, name) for name in ("a", "b"))
     algorithm = ALGORITHMS[args.algorithm]
     objective, lower, upper, kwargs = _build_kwargs(args)
     report = harness.homogeneity_check(algorithm, objective, [lower], [upper],
-                                       **_given(a=args.a, b=args.b), **kwargs)
+                                       **_given(a=a, b=b), **kwargs)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_MISMATCH
+
+
+def _numeral(args, name: str):
+    """The numeral given as ``--name``, if any; a malformed one is a ConfigError naming the flag."""
+    text = getattr(args, name)
+    try:
+        return None if text is None else grossone.as_numeral(text)
+    except ValueError as exc:
+        raise ConfigError(f"--{name}: {exc}") from exc
 
 
 def _direct_check(args) -> int:

@@ -13,14 +13,14 @@ correlations and variances) is kept in a ``GridCorrelations``, which holds
 points, never values.  A call one observation longer adds one row,
 O(n**2 + n*m) on m grid points instead of O(n**2 * m): the new row of
 V = L^-1 Upsilon reads every earlier row, so a fresh run still pays O(n*m)
-per observation there.  A later run on the same points replays the L and
-the V rows recorded at each length and sums its q again from V's rows,
-keeping only the q's they cannot give back; a history that leaves those
-points rewinds, replaying its own points at those lengths.  Runs from one
-design size share a state (``CandidateGrid.correlations``), so each gets a
-fresh state's bits.  A run's observations live in a ``HistoryBuffer``,
-whose histories view its rows, so a step copies no history; past the product
-a 1-D step pays only scipy's ``erfc``, and a fresh 2-D run each V row's ``l.V``.
+per observation there.  The state records one ``GridState`` per length,
+its q beside its L and V rows, and a later run on the same points replays
+it; a history that leaves those points rewinds, replaying its own points at
+those lengths.  Runs from one design size share a state
+(``CandidateGrid.correlations``), so each gets a fresh state's bits.  A
+run's observations live in a ``HistoryBuffer``, whose histories view its
+rows, so a step copies no history; past the product a 1-D step pays only
+scipy's ``erfc``, and a fresh 2-D run each V row's ``l.V``.
 
 The grid means take one of two paths, by the grid's size.  Below
 ``SUMMED_MEANS_GRID`` points they are the product mu + w.Upsilon, O(n*m) a
@@ -278,6 +278,18 @@ def correlation_matrix(points: np.ndarray, kernel: CorrelationKernel) -> np.ndar
     return sigma
 
 
+class GridState(NamedTuple):
+    """The point-only state a ``GridCorrelations`` records at n points."""
+
+    ups: np.ndarray  # Upsilon's rows (n, m)
+    lower: np.ndarray  # L of S + jitter*I, in column order
+    q: np.ndarray  # the column sums of V**2
+    jitter: float
+    v: Optional[np.ndarray]  # V's buffer, L^-1 Upsilon in its first n rows, or None
+    s_inv_ones: np.ndarray
+    ones_norm: float  # 1' S^-1 1
+
+
 class GridCorrelations:
     """The point-only model state of the runs on fixed (m, d) grid points.
 
@@ -292,19 +304,18 @@ class GridCorrelations:
     S is factored in bulk instead by a first call, a call that adds several
     points, and a new point whose d**2 falls below ``_PIVOT_FLOOR``.  This is
     the only code that factors S; a posterior without a run's state builds one
-    over no grid points.  ``rows`` records L, the jitter, S^-1 1 and 1' S^-1 1
-    (``ones_solve``, solved once on that L) and, on a grid whose means are
-    summed, V's buffer (``whitened``) at each length it is called with, so a
-    second run on the same points replays them, reading the V rows its L was
-    built with; a history that leaves those points rewinds, replaying on its
-    own points the recorded lengths it shares.  The bits depend on the
-    lengths asked for (7 points factored in bulk are not 5 with 2 appended),
-    so only runs from one design size share a state.  Only the q's of lengths recorded before
-    V's bulk factor are kept, as V's rows cannot give them back; a cursor sums
-    the others again from the bulk's q, in the appends' order.  Arrays handed
-    out are never written again: later rows go beyond them, and a bulk factor,
-    ``reserve`` or a rewind gets new ones.  A state is born with room for no
-    points and grows only by ``reserve``, to exactly the length reserved.
+    over no grid points.  ``rows`` records a ``GridState`` at each length it
+    is called with: Upsilon's rows, L, q, the jitter, S^-1 1 and 1' S^-1 1
+    (solved once on that L) and, on a grid whose means are summed, V's
+    buffer, so a second run on the same points replays it, reading the V rows
+    its L was built with; a history that leaves those points rewinds,
+    replaying on its own points the recorded lengths it shares.  The bits
+    depend on the lengths asked for (7 points factored in bulk are not 5
+    with 2 appended), so only runs from one design size share a state.
+    Arrays handed out are never written again: later rows go beyond them,
+    and a bulk factor, ``reserve`` or a rewind gets new ones.  A state is
+    born with room for no points and grows only by ``reserve``, to exactly
+    the length reserved.
     """
 
     def __init__(self, points: np.ndarray, kernel: CorrelationKernel):
@@ -314,11 +325,10 @@ class GridCorrelations:
     def _restart(self, capacity: int):
         """Empty buffers for ``capacity`` points, and no recorded state."""
         m = len(self.points)
-        self._seen, self._states, self._kept_q = self.points[:0], {}, {}
+        self._seen, self._states = self.points[:0], {}
         self._ups, self._v = np.zeros((capacity, m)), np.zeros((capacity, m))
         self._lower = np.zeros((capacity, capacity))
         self._jitter = 0.0
-        self._bulk = self._summed = (0, np.zeros(m))  # (length, q) of V's bulk factor, the cursor
 
     def reserve(self, capacity: int):
         """Room for ``capacity`` points, grown at once if there is less."""
@@ -328,8 +338,8 @@ class GridCorrelations:
             self._v = _grown(self._v[:k], (capacity, m))
             self._lower = _grown(self._lower[:k, :k], (capacity, capacity))
 
-    def rows(self, history: EvaluationHistory):
-        """The state at ``history``'s points: (Upsilon's rows (n, m), L, q, jitter).
+    def rows(self, history: EvaluationHistory) -> GridState:
+        """The state recorded at ``history``'s points.
 
         The first n points seen, at a length called before, get the state
         recorded there; points that extend those seen are added.  Any others
@@ -345,65 +355,45 @@ class GridCorrelations:
                 for k in lengths:
                     self._advance(points[:k])
             self._advance(points)
-        lower, jitter = self._states[n][:2]
-        return self._ups[:n], lower, self._q_at(n), jitter
-
-    def whitened(self, n: int) -> Optional[np.ndarray]:
-        """The V buffer recorded with length n: its first n rows are L^-1 Upsilon
-        for that length's L, and are never written again.  None on a grid
-        below ``SUMMED_MEANS_GRID`` points, whose means are the product."""
-        return self._states[n][2]
-
-    def ones_solve(self, n: int):
-        """(S^-1 1, 1' S^-1 1) at recorded length n, solved on its L as it was recorded."""
-        return self._states[n][3]
+        return self._states[n]
 
     def _advance(self, points: np.ndarray):
         """Add the (n, d) points beyond those seen to the state, and record length n."""
         n, k = len(points), len(self._seen)
         self.reserve(n)
         self._ups[k:n] = self.kernel.of_distance(_cross_distances(points[k:n], self.points))
-        if k == 0 or n > k + 1 or not self._append(points):
-            self._kept_q = {j: self._q_at(j) for j in self._states}  # before V is replaced
-            self._refactor(points)
+        if k == 0 or n > k + 1 or (q := self._append(points, self._states[k].q)) is None:
+            q = self._refactor(points)
         self._seen = points.copy()
         # L in column order, which LAPACK reads as it is: a view would be copied per solve.
         lower, ones = np.asfortranarray(self._lower[:n, :n]), np.ones(n)
         s_inv_ones = cho_solve(lower, ones)
         # V's buffer only where the means are summed from it: a bulk factor would leave it alive.
         v = self._v if len(self.points) >= SUMMED_MEANS_GRID else None
-        self._states[n] = (lower, self._jitter, v, (s_inv_ones, float(s_inv_ones @ ones)))
+        self._states[n] = GridState(self._ups[:n], lower, q, self._jitter, v, s_inv_ones,
+                                    float(s_inv_ones @ ones))
 
-    def _append(self, points: np.ndarray) -> bool:
-        """Append the last point's row of L, V and q; False if its pivot is below the floor."""
+    def _append(self, points: np.ndarray, q: np.ndarray) -> Optional[np.ndarray]:
+        """Append the last point's row of L and V; the new q from the previous
+        length's q, or None if its pivot is below the floor."""
         i = len(points) - 1
         s = self.kernel.of_distance(_cross_distances(points[i:], points[:i]))[0]
         l = _solve_lower(self._lower[:i, :i], s)
         pivot2 = 1.0 + self._jitter - l @ l
         if not pivot2 >= _PIVOT_FLOOR:
-            return False
+            return None
         d = np.sqrt(pivot2)
         self._lower[i, :i], self._lower[i, i] = l, d
         v = self._v[i]
         np.subtract(self._ups[i], l @ self._v[:i], out=v)
         v /= d
-        self._summed = (i + 1, _plus_square(self._q_at(i), v))
-        return True
+        return _plus_square(q, v)
 
-    def _refactor(self, points: np.ndarray):
+    def _refactor(self, points: np.ndarray) -> np.ndarray:
+        """Factor S and V in bulk, into new buffers; the bulk q."""
         lower, self._jitter = _factor_with_jitter(correlation_matrix(points, self.kernel))
         v, q = _whitened(lower, self._ups[:len(points)])
         self._lower, self._v = _grown(lower, self._lower.shape), _grown(v, self._v.shape)
-        self._bulk = self._summed = (len(points), q)
-
-    def _q_at(self, n: int) -> np.ndarray:
-        """q at recorded length n: kept if it precedes V's bulk factor, else summed from it."""
-        q = self._kept_q.get(n)
-        if q is None:
-            start, q = self._summed if self._summed[0] <= n else self._bulk
-            for i in range(start, n):
-                q = _plus_square(q, self._v[i])
-            self._summed = (n, q)
         return q
 
 
@@ -445,7 +435,7 @@ class MeanSums:
     Rasmussen & Williams, 2006, Alg. 2.1).  L is lower triangular, so a new
     observation adds one entry to z and u, by forward substitution on L's
     new row, and one row to each sum: O(m) a step.  The sums go on from the
-    rows summed before while V's buffer (``GridCorrelations.whitened``) and
+    rows summed before while V's buffer (``GridState.v``) and
     the values summed are the same, and start again from row 0 otherwise,
     by the same rule for each entry and row, so the bits never depend on
     which.
@@ -548,7 +538,7 @@ class SurrogatePosterior:
     ``grid_correlations``, built under the same kernel, or else from a
     ``GridCorrelations`` over no grid points built for this history.
     The ``mle`` estimates are the generalized-least-squares mean
-    (1' S^-1 y) / (1' S^-1 1), with S^-1 1 from the state's ``ones_solve``,
+    (1' S^-1 y) / (1' S^-1 1), with S^-1 1 recorded in the state's ``GridState``,
     and the averaged quadratic form of the residual weights w = S^-1 (y - mu);
     ``sample`` uses ``estimate_sample``.  Both solve w, which product means read.
     On a large grid the means come from the run's ``mean_sums``, or else
@@ -569,8 +559,8 @@ class SurrogatePosterior:
         if state.kernel is not kernel and state.kernel != kernel:
             raise ValueError("grid correlations were built under another kernel")
         self._grid = state.points
-        self._grid_ups, self._factor, self._grid_q, self.jitter = state.rows(history)
-        self._whitened = state.whitened(history.n)
+        self._rows = rows = state.rows(history)
+        self.jitter = rows.jitter
         self._sums = mean_sums or MeanSums()
         y = history.values
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite estimate
@@ -578,13 +568,12 @@ class SurrogatePosterior:
                 self.parameters = estimate_sample(history)  # finite: |y - mu|**2 <= (n - 1)*sigma2
                 resid = y - self.parameters.mu
             else:
-                s_inv_ones, ones_norm = state.ones_solve(history.n)
-                mu = _finite("mle", "mu", float(s_inv_ones @ y) / ones_norm)
+                mu = _finite("mle", "mu", float(rows.s_inv_ones @ y) / rows.ones_norm)
                 resid = y - mu
                 if not np.isfinite(resid).all():  # then sigma2 >= |y - mu|**2 / n**2 overflows
                     raise NonFiniteEstimateError("mle", "sigma2", math.inf)
             # Premultiplied residual weights: (y - mu)' S^-1
-            self._resid_weights = cho_solve(self._factor, resid)
+            self._resid_weights = cho_solve(rows.lower, resid)
             if estimator == "mle":
                 sigma2 = _finite("mle", "sigma2", float(resid @ self._resid_weights) / y.size)
                 self.parameters = ModelParameters(mu, max(sigma2, 0.0))
@@ -599,19 +588,18 @@ class SurrogatePosterior:
 
         Returns (means, variances, clamped_mask) as arrays of length m.
         Upsilon and q come from ``grid_correlations`` if ``points`` is its grid;
-        where that state recorded V (``whitened``), so do the means, from the
-        ``MeanSums``.
+        where that state recorded V, so do the means, from the ``MeanSums``.
         """
+        rows = self._rows
         on_grid = points is self._grid
         if on_grid:
-            ups, q = self._grid_ups, self._grid_q
+            ups, q = rows.ups, rows.q
         else:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             ups = self.kernel.of_distance(_cross_distances(self.history.points, points))
-            _, q = _whitened(self._factor, ups)
-        if on_grid and self._whitened is not None:
-            means = self._sums.means(self._factor, self._whitened, self.history.values,
-                                     self.parameters.mu)
+            _, q = _whitened(rows.lower, ups)
+        if on_grid and rows.v is not None:
+            means = self._sums.means(rows.lower, rows.v, self.history.values, self.parameters.mu)
         else:
             # In place; IEEE + and * commute, and 1 - q is at most 1 and never -0.0,
             # so these are mu + w.Upsilon and sigma2 * clip(1 - q, 0, 1) bit for bit.

@@ -169,11 +169,15 @@ _ERROR_TEXT = {
     "write-full-device": "cannot write /dev/full: [Errno 28] No space left on device",
     **{f"fig1-grid-filled-{r}": f"the five example points visit all {r} grid candidates"
        for r in (2, 3)},
-    **{f"numeral-{case}": "has a coefficient outside float64 range"
-       for case in ("b-underflow", "a-underflow", "grade-underflow")},
-    "numeral-non-ascii-digits": "cannot parse numeral",
-    "numeral-a-decimal-over-integer": "cannot parse numeral '1.5/3'",
-    "numeral-b-decimal-over-integer": "cannot parse numeral '1e-400/3'",
+    # a malformed numeral is reported with its flag
+    **{f"numeral-{case}": f"--{flag}: numeral '{text}' has a coefficient outside float64 range"
+       for case, flag, text in (("a-overflow", "a", "1e400"), ("b-overflow", "b", "1e400"),
+                                ("grade-overflow", "a", "1e400*G"),
+                                ("b-underflow", "b", "1e-400"), ("a-underflow", "a", "1e-400"),
+                                ("grade-underflow", "a", "1e-400*G"))},
+    "numeral-non-ascii-digits": "--a: cannot parse numeral",
+    "numeral-a-decimal-over-integer": "--a: cannot parse numeral '1.5/3'",
+    "numeral-b-decimal-over-integer": "--b: cannot parse numeral '1e-400/3'",
 }
 
 

@@ -437,7 +437,7 @@ class TestGridCorrelations:
             if step % 3 == 2:
                 continue  # some steps add no row, the next adds two
             full = kernel.of_distance(gp._cross_distances(history.points, grid))
-            assert np.array_equal(cache.rows(history)[0], full)
+            assert np.array_equal(cache.rows(history).ups, full)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.family)
     @pytest.mark.parametrize("estimator", ["mle", "sample"])
@@ -498,12 +498,13 @@ class TestGridCorrelations:
         grid = rng.uniform(0, 1, size=(200, 2))
         cache = GridCorrelations(grid, kernel)
         for history in self.histories(rng, 15, 2):
-            ups, lower, q, jitter = cache.rows(history)
-            target = correlation_matrix(history.points, kernel) + jitter * np.eye(history.n)
+            state = cache.rows(history)
+            lower = state.lower
+            target = correlation_matrix(history.points, kernel) + state.jitter * np.eye(history.n)
             np.testing.assert_allclose(lower @ lower.T, target, rtol=0, atol=1e-14)
             assert np.array_equal(lower, np.tril(lower))
-            v = solve_triangular(lower, ups, lower=True)
-            np.testing.assert_allclose(q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
+            v = solve_triangular(lower, state.ups, lower=True)
+            np.testing.assert_allclose(state.q, (v * v).sum(axis=0), rtol=1e-12, atol=1e-15)
 
     def test_keeps_no_history_alive(self):
         # the state holds points, never a history or its values
@@ -516,9 +517,9 @@ class TestGridCorrelations:
         del first, second
         assert [ref() for ref in refs] == [None, None]
 
-    def test_keeps_only_the_qs_v_cannot_give_back(self, monkeypatch):
-        # one bulk factor, then appends: a replay sums each q again from V's
-        # rows rather than keeping one q per length
+    def test_keeps_one_q_per_recorded_length(self, monkeypatch):
+        # one bulk factor, then appends: each length's q is recorded beside its
+        # L, and a replay hands back the very array recorded
         calls, factor = [], gp.cho_factor
         monkeypatch.setattr(gp, "cho_factor", lambda a: calls.append(a) or factor(a))
         rng = np.random.default_rng(29)
@@ -526,17 +527,23 @@ class TestGridCorrelations:
         grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         cache = GridCorrelations(grid, KERNEL)
         histories = self.histories(rng, 30, 2)
-        for _ in range(2):  # 30 one-point calls, then the same lengths replayed
-            for history in histories:
-                cache.rows(history)
+        recorded = [cache.rows(history).q for history in histories]  # 30 one-point calls
+        replayed = [cache.rows(history).q for history in histories]
         assert len(calls) == 1
-        found = []
-        for value in vars(cache).values():
+        assert all(a is b for a, b in zip(replayed, recorded))
+
+        def arrays(value):
+            """The arrays in value, opening dicts and tuples, a GridState among them."""
             if isinstance(value, dict):
                 value = tuple(value.values())
-            found += value if isinstance(value, tuple) else [value]
-        qs = {id(a) for a in found if isinstance(a, np.ndarray) and a.shape == (len(grid),)}
-        assert len(qs) <= 3
+            if isinstance(value, tuple):
+                return [a for item in value for a in arrays(item)]
+            return [value] if isinstance(value, np.ndarray) else []
+
+        # one q per recorded length, and no other (m,) array on the state
+        found = [a for a in arrays(tuple(vars(cache).values())) if a.shape == (len(grid),)]
+        assert sorted(map(id, found)) == sorted(map(id, recorded))
+        assert len(set(map(id, recorded))) == len(histories)
 
     @pytest.mark.parametrize("estimator", gp.ESTIMATORS)
     def test_ones_solved_once_per_recorded_length(self, estimator, monkeypatch):
@@ -575,9 +582,9 @@ class TestGridCorrelations:
         h = h.with_observation([0.5 + 1e-5], 3.0)
         cache.rows(h)
         assert len(calls) == 2
-        _, lower, _, jitter = cache.rows(h)
-        sigma = correlation_matrix(h.points, kernel) + jitter * np.eye(h.n)
-        assert np.array_equal(lower, np.tril(cho_factor(sigma, lower=True)[0]))
+        state = cache.rows(h)
+        sigma = correlation_matrix(h.points, kernel) + state.jitter * np.eye(h.n)
+        assert np.array_equal(state.lower, np.tril(cho_factor(sigma, lower=True)[0]))
         # a far point appends again, onto the factor that holds that small pivot
         cache.rows(h.with_observation([0.2], 1.5))
         assert len(calls) == 2
@@ -585,15 +592,16 @@ class TestGridCorrelations:
     @staticmethod
     def state_bytes(cache, history):
         """Upsilon, L, q and the jitter that ``rows(history)`` gives, as bytes."""
-        ups, lower, q, jitter = cache.rows(history)
-        return [ups.tobytes(), lower.tobytes(), q.tobytes(), jitter]
+        state = cache.rows(history)
+        return [state.ups.tobytes(), state.lower.tobytes(), state.q.tobytes(), state.jitter]
 
     def test_history_that_does_not_extend_the_seen_points_gets_a_fresh_state(self):
         rng = np.random.default_rng(13)
         grid = rng.uniform(0, 1, size=(50, 1))
         short, longer = self.histories(rng, 4, 1)[1:4:2]
         cache = GridCorrelations(grid, KERNEL)
-        handed = cache.rows(longer)[:3]
+        state = cache.rows(longer)
+        handed = [state.ups, state.lower, state.q]
         before = [a.copy() for a in handed]
         moved = EvaluationHistory([0.0], [1.0], longer.points[::-1], longer.values)
         # fewer points than seen, the same count in another order, then the
@@ -636,16 +644,24 @@ class TestGridCorrelations:
                 assert self.state_bytes(shared, history) == self.state_bytes(fresh, history)
 
     def test_recorded_state_is_replayed(self, monkeypatch):
+        # the pool's last point is factored in bulk; without it, the lengths
+        # after the last bulk factor are appended
         kernel = CorrelationKernel("squared-exponential", 5.0)
-        points = np.array(self.POOL)
-        histories = [history_1d(points[:n], np.zeros(n)) for n in range(2, len(points) + 1)]
-        cache = GridCorrelations(np.linspace(0, 1, 41)[:, None], kernel)
-        first = [self.state_bytes(cache, history) for history in histories]
-        # the second pass over the same points factors nothing and solves nothing
+        grid = np.linspace(0, 1, 41)[:, None]
+        runs = []
+        for size in (len(self.POOL), len(self.POOL) - 1):
+            points = np.array(self.POOL[:size])
+            histories = [history_1d(points[:n], np.zeros(n)) for n in range(2, size + 1)]
+            cache = GridCorrelations(grid, kernel)
+            runs.append((cache, histories, [self.state_bytes(cache, h) for h in histories]))
+        # the second pass over the same points factors, solves and sums nothing
         monkeypatch.setattr(gp, "_factor_with_jitter", lambda *a: pytest.fail("factored"))
         monkeypatch.setattr(gp, "_solve_lower", lambda *a: pytest.fail("solved"))
-        assert [self.state_bytes(cache, history) for history in histories] == first
-        assert any(state[3] > 0 for state in first)  # some states carry jitter
+        monkeypatch.setattr(gp, "_plus_square", lambda *a: pytest.fail("summed q"))
+        monkeypatch.setattr(gp, "_whitened", lambda *a: pytest.fail("summed q"))
+        for cache, histories, first in runs:
+            assert [self.state_bytes(cache, history) for history in histories] == first
+            assert any(state[3] > 0 for state in first)  # some states carry jitter
 
 
 class TestMeanSums:
@@ -689,12 +705,12 @@ class TestMeanSums:
         for history in self.run_histories(*oracles.random_history(np.random.default_rng(41), 14, 2)):
             summing.clear()
             summed = build_posterior(history, kernel, estimator, summed_state, sums).moments_grid(grid)
-            assert summing == [1] and summed_state.whitened(history.n) is not None
+            assert summing == [1] and summed_state.rows(history).v is not None
             with monkeypatch.context() as patched:
                 patched.setattr(gp, "SUMMED_MEANS_GRID", len(grid) + 1)
                 posterior = build_posterior(history, kernel, estimator, product_state)
             product = posterior.moments_grid(grid)
-            assert summing == [1] and product_state.whitened(history.n) is None
+            assert summing == [1] and product_state.rows(history).v is None
             # values lie in [-1, 1]: a mean near 0 is held to their scale
             np.testing.assert_allclose(summed[0], product[0], rtol=1e-10, atol=1e-12)
             assert summed[1].tobytes() == product[1].tobytes()
@@ -723,10 +739,9 @@ class TestMeanSums:
         kernel = CorrelationKernel("squared-exponential", 5.0)
         cache = GridCorrelations(np.linspace(0, 1, 1001)[:, None], kernel)
         points = np.array(TestGridCorrelations.POOL)
-        lengths = range(2, len(points) + 1)
-        for n in lengths:
-            cache.rows(history_1d(points[:n], np.zeros(n)))
-        assert [cache.whitened(n) for n in lengths] == [None] * len(lengths)
+        recorded = [cache.rows(history_1d(points[:n], np.zeros(n))).v
+                    for n in range(2, len(points) + 1)]
+        assert recorded == [None] * (len(points) - 1)
 
     def test_replayed_state_gives_a_fresh_state_bytes(self):
         # a near-duplicate point makes the squared-exponential state factor in
